@@ -56,6 +56,14 @@ go run ./cmd/aisverify -voltab "$tmp/glucose.vol" "$tmp/glucose.ais"
 go run ./cmd/fluidc -o "$tmp/glycomics.ais" testdata/glycomics.asy
 go run ./cmd/aisverify -unknown-volumes "$tmp/glycomics.ais"
 
+echo "== shipped listing runs like its source =="
+# fluidc and fluidvm share one compile pipeline, so the shipped
+# (listing, volume table) pair must execute exactly as fluidvm runs the
+# source itself.
+go run ./cmd/fluidvm -ais "$tmp/glucose.ais" -voltab "$tmp/glucose.vol" >"$tmp/shipped.out"
+go run ./cmd/fluidvm testdata/glucose.asy >"$tmp/source.out"
+cmp "$tmp/shipped.out" "$tmp/source.out"
+
 echo "== fault-injection determinism =="
 # Same (listing, seed, profile) must give byte-identical output, trace
 # included: faults and recovery draw from one seeded PRNG stream.

@@ -24,55 +24,71 @@
 // After code generation the emitted listing is checked by the
 // instruction-level verifier (internal/aisverify) against the volume plan;
 // error findings fail the compile. -no-verify skips this pass.
+//
+// The stages are internal/pipeline's, shared with fluidvm, so the listing
+// is the one fluidvm runs. Storage-less forwarding is off for LP plans
+// and for staged assays (whose partitions may fall back to LP at run
+// time), so staged listings compile with forwarding off, as fluidvm runs
+// them.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"aquavol/internal/ais"
-	"aquavol/internal/aisverify"
 	"aquavol/internal/analysis"
-	"aquavol/internal/aquacore"
-	"aquavol/internal/certify"
-	"aquavol/internal/codegen"
 	"aquavol/internal/core"
 	"aquavol/internal/diag"
 	"aquavol/internal/lang"
+	"aquavol/internal/pipeline"
 )
 
-func main() {
-	showPlan := flag.Bool("plan", false, "print the volume plan")
-	showDot := flag.Bool("dot", false, "emit the assay DAG in Graphviz dot")
-	lint := flag.Bool("lint", false, "run the volume-safety analyzer before compiling")
-	wError := flag.Bool("Werror", false, "treat lint warnings as errors (implies -lint)")
-	noManage := flag.Bool("no-manage", false, "skip the cascading/replication hierarchy")
-	noVerify := flag.Bool("no-verify", false, "skip the post-codegen instruction-level verifier")
-	noCertify := flag.Bool("no-certify", false, "skip the independent plan-certification pass")
-	mutatePlan := flag.Bool("mutate-plan", false, "perturb the solved plan before certification (CI gate check)")
-	outFile := flag.String("o", "", "write the AIS listing to this file instead of stdout")
-	volFile := flag.String("voltab", "", "write the per-instruction volume table to this file (static assays only)")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: fluidc [flags] assay.asy")
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fluidc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	showPlan := fs.Bool("plan", false, "print the volume plan")
+	showDot := fs.Bool("dot", false, "emit the assay DAG in Graphviz dot")
+	lint := fs.Bool("lint", false, "run the volume-safety analyzer before compiling")
+	wError := fs.Bool("Werror", false, "treat lint warnings as errors (implies -lint)")
+	noManage := fs.Bool("no-manage", false, "skip the cascading/replication hierarchy")
+	noVerify := fs.Bool("no-verify", false, "skip the post-codegen instruction-level verifier")
+	noCertify := fs.Bool("no-certify", false, "skip the independent plan-certification pass")
+	mutatePlan := fs.Bool("mutate-plan", false, "perturb the solved plan before certification (CI gate check)")
+	outFile := fs.String("o", "", "write the AIS listing to this file instead of stdout")
+	volFile := fs.String("voltab", "", "write the per-instruction volume table to this file (static assays only)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	src, err := os.ReadFile(flag.Arg(0))
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: fluidc [flags] assay.asy")
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "fluidc:", err)
+		return 1
+	}
+	src, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	ep, err := lang.Compile(string(src))
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	cfg := core.DefaultConfig()
 
 	if *lint || *wError {
 		findings, err := analysis.Analyze(ep, cfg, analysis.Options{})
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		bad := false
 		for _, d := range findings {
@@ -80,148 +96,86 @@ func main() {
 				d.Severity = diag.Error
 			}
 			bad = bad || d.Severity == diag.Error
-			fmt.Fprintf(os.Stderr, "%s:%s\n", flag.Arg(0), d.Error())
+			fmt.Fprintf(stderr, "%s:%s\n", fs.Arg(0), d.Error())
 		}
 		if bad {
-			os.Exit(1)
+			return 1
 		}
 	}
 
 	// Volume management: statically-known assays go through the Fig. 6
 	// hierarchy; assays with unknown volumes get compile-time Vnorms and
 	// defer absolute assignment to the runtime (§3.5).
-	g := ep.Graph
-	var plan *core.Plan
-	usedLP := false
-	hasUnknown := false
-	for _, n := range g.Nodes() {
-		if n != nil && n.Unknown && !n.IsLeaf() {
-			hasUnknown = true
-		}
+	p, err := pipeline.Plan(ep, pipeline.Options{Config: cfg, NoManage: *noManage, NoCertify: *noCertify, NoVerify: *noVerify})
+	if errors.Is(err, core.ErrUnmanageable) || errors.Is(err, core.ErrResourceLimit) {
+		return fatal(fmt.Errorf("%w\ntrace:\n%s", err, traceText(p.Manage)))
+	} else if err != nil {
+		return fatal(err)
 	}
-	// certifyPlan gates a solved plan behind the independent checker
-	// (proof-carrying plans: the solver's output never reaches codegen
-	// unverified). -mutate-plan seeds a perturbation first so CI can
+	// Proof-carrying plans: the solver's output never reaches codegen
+	// uncertified. -mutate-plan seeds a perturbation first so CI can
 	// prove the gate fires.
-	certifyPlan := func(what string, p *core.Plan, avail core.Availability) {
-		if *mutatePlan {
-			for i, v := range p.EdgeVolume {
+	if *mutatePlan {
+		for _, plan := range p.Plans() {
+			for i, v := range plan.EdgeVolume {
 				if v > 0 {
-					p.EdgeVolume[i] += 0.5
+					plan.EdgeVolume[i] += 0.5
 					break
 				}
 			}
 		}
-		if *noCertify {
-			return
-		}
-		if err := certify.CheckPlan(p, cfg, avail); err != nil {
-			fatal(fmt.Errorf("%s plan rejected: %w", what, err))
-		}
+	}
+	if err := pipeline.Certify(p); err != nil {
+		return fatal(err)
 	}
 	switch {
-	case hasUnknown:
-		sp, err := core.NewStagedPlan(g, cfg)
-		if err != nil {
-			fatal(err)
+	case p.Staged != nil:
+		fmt.Fprintf(stderr, "assay has statically-unknown volumes: %d partitions, %d solvable at compile time\n",
+			p.Staged.NumParts(), len(p.Static))
+	case p.Manage != nil:
+		for _, tr := range p.Manage.Transforms {
+			fmt.Fprintf(stderr, "applied %s\n", tr)
 		}
-		done, err := sp.SolveStatic()
-		if err != nil {
-			fatal(err)
-		}
-		for _, i := range done {
-			if sp.Plans[i] != nil && sp.Plans[i].Feasible() {
-				certifyPlan(fmt.Sprintf("partition %d", i), sp.Plans[i], sp.PartAvailability(i, nil))
-			}
-		}
-		fmt.Fprintf(os.Stderr, "assay has statically-unknown volumes: %d partitions, %d solvable at compile time\n",
-			sp.NumParts(), len(done))
-	case *noManage:
-		plan, err = core.DAGSolve(g, cfg, nil)
-		if err != nil {
-			fatal(err)
-		}
-		if !plan.Feasible() {
-			fmt.Fprintf(os.Stderr, "warning: DAGSolve underflows (%d); rerun without -no-manage\n", len(plan.Underflows))
-		} else {
-			certifyPlan("unmanaged", plan, nil)
-		}
-	default:
-		res, err := core.Manage(g, cfg, core.ManageOptions{})
-		if errors.Is(err, core.ErrUnmanageable) || errors.Is(err, core.ErrResourceLimit) {
-			fatal(fmt.Errorf("%w\ntrace:\n%s", err, traceText(res)))
-		} else if err != nil {
-			fatal(err)
-		}
-		g = res.Graph
-		plan = res.Plan
-		usedLP = res.UsedLP
-		certifyPlan("managed", plan, core.StaticAvailability(cfg))
-		for _, tr := range res.Transforms {
-			fmt.Fprintf(os.Stderr, "applied %s\n", tr)
-		}
+	case !p.Plan.Feasible():
+		fmt.Fprintf(stderr, "warning: DAGSolve underflows (%d); rerun without -no-manage\n", len(p.Plan.Underflows))
 	}
 
 	if *showDot {
-		fmt.Print(g.DOT(ep.Name))
-		return
+		fmt.Fprint(stdout, p.Graph.DOT(ep.Name))
+		return 0
 	}
-	// LP plans may leave excess in units; disable storage-less forwarding
-	// for them (see codegen.Config.NoForwarding).
-	cg, err := codegen.Generate(ep, g, codegen.Config{NoForwarding: usedLP})
+	res, err := pipeline.Generate(p)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
-	var tab ais.VolumeTable
-	if plan != nil {
-		tab, err = cg.VolumeTable(func(edge int) (float64, bool) {
-			if edge < 0 || edge >= len(plan.EdgeVolume) {
-				return 0, false
-			}
-			return plan.EdgeVolume[edge], true
-		})
-		if err != nil {
-			fatal(err)
-		}
+	for _, d := range res.Findings {
+		fmt.Fprintf(stderr, "aisverify: %s\n", d.Error())
+	}
+	if res.Findings.HasErrors() {
+		return 1
 	}
 
-	if !*noVerify {
-		opts := aisverify.Options{Volumes: tab, UnknownVolumes: plan == nil}
-		for name := range codegen.DryInit(ep) {
-			opts.DefinedRegs = append(opts.DefinedRegs, name)
-		}
-		if plan != nil {
-			opts.NodeVolume = aquacore.PlanSource{Plan: plan}.NodeVolume
-		}
-		findings := aisverify.Verify(cg.Prog, opts)
-		for _, d := range findings {
-			fmt.Fprintf(os.Stderr, "aisverify: %s\n", d.Error())
-		}
-		if findings.HasErrors() {
-			os.Exit(1)
-		}
-	}
-
-	listing := cg.Prog.String()
+	listing := res.Prog.String()
 	if *outFile != "" {
 		if err := os.WriteFile(*outFile, []byte(listing), 0o644); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 	} else {
-		fmt.Print(listing)
+		fmt.Fprint(stdout, listing)
 	}
 	if *volFile != "" {
-		if plan == nil {
-			fatal(fmt.Errorf("-voltab requires a statically-solvable assay"))
+		if res.Plan == nil {
+			return fatal(fmt.Errorf("-voltab requires a statically-solvable assay"))
 		}
-		if err := os.WriteFile(*volFile, []byte(tab.String()), 0o644); err != nil {
-			fatal(err)
+		if err := os.WriteFile(*volFile, []byte(res.Volumes.String()), 0o644); err != nil {
+			return fatal(err)
 		}
 	}
-	if *showPlan && plan != nil {
-		fmt.Println()
-		fmt.Print(plan)
+	if *showPlan && res.Plan != nil {
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, res.Plan)
 	}
+	return 0
 }
 
 func traceText(res *core.ManageResult) string {
@@ -233,9 +187,4 @@ func traceText(res *core.ManageResult) string {
 		out += "  " + l + "\n"
 	}
 	return out
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "fluidc:", err)
-	os.Exit(1)
 }

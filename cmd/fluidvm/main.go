@@ -2,7 +2,10 @@
 // simulator with the runtime volume manager in the loop: static plans are
 // applied directly; assays with unknown volumes are re-planned partition
 // by partition as the simulated separations report their measured outputs
-// (§3.5).
+// (§3.5). It compiles through the same pipeline as fluidc
+// (internal/pipeline), so fluidc prints the listing fluidvm runs, and it
+// verifies that listing before running it: the verifier's findings print
+// as fluidc prints them, and an error finding exits 1.
 //
 // Usage:
 //
@@ -39,7 +42,9 @@
 // (and ultimately a restart) when the newest is unrestorable; the run
 // configuration (profile, seed, margin, yield, retry budget, cadence) is
 // taken from the journal's opening record, not from flags, and the
-// recompiled program must hash-match the journaled one. Because
+// recompiled program must hash-match the journaled one. The assay is
+// compiled once per -resume, and every fallback rung gets a fresh
+// machine from that compile. Because
 // execution is deterministic, a resumed run finishes bit-identical to
 // one that was never interrupted. -crash-at N simulates a process kill
 // after instruction boundary N (chaos testing). All three imply -recover.
@@ -58,7 +63,7 @@
 // cancelled run fail-stops exactly like a crash — the journal keeps no
 // outcome record and -resume completes it bit-identically (budgets are
 // resource guards, never replayed state). Both flags also bound a
-// -resume itself.
+// -resume itself, which charges planning once.
 //
 // Every solved plan is certified by the independent checker
 // (internal/certify) before a single instruction executes: the static
@@ -91,11 +96,11 @@ import (
 	"aquavol/internal/aquacore"
 	"aquavol/internal/budget"
 	"aquavol/internal/certify"
-	"aquavol/internal/codegen"
 	"aquavol/internal/core"
 	"aquavol/internal/faults"
 	"aquavol/internal/journal"
 	"aquavol/internal/lang"
+	"aquavol/internal/pipeline"
 	recovery "aquavol/internal/recover"
 	"aquavol/internal/vfs"
 )
@@ -185,18 +190,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		name     string
 		certHash uint32
 	)
+	acfg := aquacore.Config{SeparationYield: *yield, Trace: traceFn, EventTrace: eventFn, Faults: inj, Budget: meter}
 	if *aisFile != "" {
 		name = *aisFile
-		prog, m, err = buildShipped(*aisFile, *volFile, *yield, meter, traceFn, eventFn, inj)
+		prog, m, err = buildShipped(*aisFile, *volFile, acfg)
 	} else {
 		if fs.NArg() != 1 {
 			fmt.Fprintln(stderr, "usage: fluidvm [flags] assay.asy")
 			return exitUsage
 		}
 		name = fs.Arg(0)
-		var src []byte
-		if src, err = os.ReadFile(name); err == nil {
-			prog, comp, m, certHash, err = buildAssay(string(src), *yield, *margin, *noCertify, meter, traceFn, eventFn, inj)
+		var res *pipeline.Result
+		if res, err = compile(name, *margin, *noCertify, meter, stderr); err == nil {
+			prog, comp, certHash = res.Prog, res.Compiled(), res.CertHash
+			m, err = res.Machine(acfg)
 		}
 	}
 	if err != nil {
@@ -321,41 +328,45 @@ func doResume(fsys vfs.FS, path string, args []string, aisFile, volFile string, 
 
 	// Rebuild the run exactly as the original invocation configured it.
 	// Each ladder rung needs a fresh machine (Restore refuses a used one),
-	// so construction is a closure; the program and compile artifacts are
-	// deterministic and come from the first build.
-	var (
-		prog     *ais.Program
-		comp     *recovery.Compiled
-		certHash uint32
-	)
-	newMachine := func() (*aquacore.Machine, error) {
-		var inj *faults.Injector
-		if begin.Profile.Enabled() {
-			inj = faults.New(begin.Profile, begin.Seed)
-		}
-		if aisFile != "" {
-			p, m, err := buildShipped(aisFile, volFile, begin.Yield, meter, traceFn, eventFn, inj)
-			prog = p
-			return m, err
-		}
-		src, err := os.ReadFile(args[0])
-		if err != nil {
-			return nil, err
-		}
-		p, c, m, h, err := buildAssay(string(src), begin.Yield, begin.Margin, noCertify, meter, traceFn, eventFn, inj)
-		prog, comp, certHash = p, c, h
-		return m, err
-	}
+	// so construction is a closure; the assay is compiled once and every
+	// rung gets a fresh machine from that compile.
 	if aisFile == "" && len(args) != 1 {
 		fmt.Fprintln(stderr, "usage: fluidvm -resume run.aqj assay.asy")
 		return exitUsage
 	}
+	acfg := func() aquacore.Config {
+		var inj *faults.Injector
+		if begin.Profile.Enabled() {
+			inj = faults.New(begin.Profile, begin.Seed)
+		}
+		return aquacore.Config{SeparationYield: begin.Yield, Trace: traceFn, EventTrace: eventFn, Faults: inj, Budget: meter}
+	}
+	var (
+		prog       *ais.Program
+		comp       *recovery.Compiled
+		certHash   uint32
+		newMachine func() (*aquacore.Machine, error)
+	)
+	if aisFile != "" {
+		newMachine = func() (*aquacore.Machine, error) {
+			p, m, err := buildShipped(aisFile, volFile, acfg())
+			prog = p
+			return m, err
+		}
+	} else {
+		res, err := compile(args[0], begin.Margin, noCertify, meter, stderr)
+		if err != nil {
+			if errors.Is(err, certify.ErrCertificate) {
+				fmt.Fprintln(stderr, "fluidvm: resume:", err)
+				return exitCertFailed
+			}
+			return fail(stderr, err)
+		}
+		prog, comp, certHash = res.Prog, res.Compiled(), res.CertHash
+		newMachine = func() (*aquacore.Machine, error) { return res.Machine(acfg()) }
+	}
 	firstMachine, err := newMachine()
 	if err != nil {
-		if errors.Is(err, certify.ErrCertificate) {
-			fmt.Fprintln(stderr, "fluidvm: resume:", err)
-			return exitCertFailed
-		}
 		return fail(stderr, err)
 	}
 	if h := crc32.ChecksumIEEE([]byte(prog.String())); h != begin.Hash || len(prog.Instrs) != begin.Instrs {
@@ -399,90 +410,40 @@ func doResume(fsys vfs.FS, path string, args []string, aisFile, volFile string, 
 	return finish(out, stdout, stderr)
 }
 
-// buildAssay compiles assay source and constructs its machine, mirroring
-// the planner/codegen decisions of a direct run so a resume rebuilds the
-// identical program. Unless noCertify, every solved plan passes the
-// independent checker before the machine is built — static plans here,
-// staged partitions through the source's certification hook (including
-// those solved later from measurements) — and the returned certHash
-// pins the certified static plan (0 for staged assays, which have no
-// single static plan to pin).
-func buildAssay(src string, yield, margin float64, noCertify bool, meter *budget.Meter, traceFn func(aquacore.TraceEntry),
-	eventFn func(aquacore.Event), inj *faults.Injector) (*ais.Program, *recovery.Compiled, *aquacore.Machine, uint32, error) {
-	ep, err := lang.Compile(src)
+// compile builds the assay at path through the shared pipeline with the
+// run's safety margin and budget, so a resume rebuilds the identical
+// program. The verifier's findings print as fluidc prints them, and an
+// error finding refuses the listing.
+func compile(path string, margin float64, noCertify bool, meter *budget.Meter, stderr io.Writer) (*pipeline.Result, error) {
+	src, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, nil, 0, err
+		return nil, err
+	}
+	ep, err := lang.Compile(string(src))
+	if err != nil {
+		return nil, err
 	}
 	cfg := core.DefaultConfig()
 	cfg.SafetyMargin = margin
 	cfg.Budget = meter
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, nil, 0, err
-	}
-
-	g := ep.Graph
-	hasUnknown := false
-	for _, n := range g.Nodes() {
-		if n != nil && n.Unknown && !n.IsLeaf() {
-			hasUnknown = true
-		}
-	}
-	var source aquacore.VolumeSource
-	usedLP := false
-	var certHash uint32
-	if hasUnknown {
-		sp, err := core.NewStagedPlan(g, cfg)
-		if err != nil {
-			return nil, nil, nil, 0, err
-		}
-		var hook aquacore.CertifyPart
-		if !noCertify {
-			hook = func(part int, plan *core.Plan, avail core.Availability) error {
-				return certify.CheckPlan(plan, cfg, avail)
-			}
-		}
-		ss, err := aquacore.NewStagedSource(sp, hook)
-		if err != nil {
-			return nil, nil, nil, 0, err
-		}
-		source = ss
-		// Per-part solves may fall back to LP at run time; be
-		// conservative about unit residue.
-		usedLP = true
-	} else {
-		res, err := core.Manage(g, cfg, core.ManageOptions{})
-		if err != nil {
-			return nil, nil, nil, 0, err
-		}
-		if !noCertify {
-			if err := certify.CheckPlan(res.Plan, cfg, core.StaticAvailability(cfg)); err != nil {
-				return nil, nil, nil, 0, fmt.Errorf("managed plan rejected: %w", err)
-			}
-			certHash = certify.PlanHash(res.Plan)
-		}
-		g = res.Graph
-		source = aquacore.PlanSource{Plan: res.Plan}
-		usedLP = res.UsedLP
-	}
-
-	// Forwarding is unsafe whenever production can exceed consumption:
-	// LP plans (no flow conservation) and any positive safety margin.
-	cg, err := codegen.Generate(ep, g, codegen.Config{NoForwarding: usedLP || margin > 0})
+	res, err := pipeline.Build(ep, pipeline.Options{Config: cfg, NoCertify: noCertify})
 	if err != nil {
-		return nil, nil, nil, 0, err
+		return nil, err
 	}
-	m := aquacore.New(aquacore.Config{SeparationYield: yield, Trace: traceFn, EventTrace: eventFn, Faults: inj, Budget: meter}, g, source)
-	m.SetDry(codegen.DryInit(ep))
-	comp := &recovery.Compiled{Graph: g, Clusters: cg.Clusters, VesselOf: cg.VesselOf}
-	return cg.Prog, comp, m, certHash, nil
+	for _, d := range res.Findings {
+		fmt.Fprintf(stderr, "aisverify: %s\n", d.Error())
+	}
+	if res.Findings.HasErrors() {
+		return nil, errors.New("listing failed verification")
+	}
+	return res, nil
 }
 
 // buildShipped assembles a compiled (listing, volume table) pair — the
 // artifact fluidc -o/-voltab produces — with no source or DAG available.
 // Recovery is retry-only here: regeneration needs the DAG and cluster map
 // that only a fresh compile carries.
-func buildShipped(aisFile, volFile string, yield float64, meter *budget.Meter, traceFn func(aquacore.TraceEntry),
-	eventFn func(aquacore.Event), inj *faults.Injector) (*ais.Program, *aquacore.Machine, error) {
+func buildShipped(aisFile, volFile string, acfg aquacore.Config) (*ais.Program, *aquacore.Machine, error) {
 	src, err := os.ReadFile(aisFile)
 	if err != nil {
 		return nil, nil, err
@@ -491,7 +452,7 @@ func buildShipped(aisFile, volFile string, yield float64, meter *budget.Meter, t
 	if err != nil {
 		return nil, nil, err
 	}
-	m := aquacore.New(aquacore.Config{SeparationYield: yield, Trace: traceFn, EventTrace: eventFn, Faults: inj, Budget: meter}, nil, nil)
+	m := aquacore.New(acfg, nil, nil)
 	if volFile != "" {
 		vsrc, err := os.ReadFile(volFile)
 		if err != nil {

@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"aquavol/internal/assays"
+	"aquavol/internal/golden"
 	"aquavol/internal/journal"
 	"aquavol/internal/vfs"
 )
@@ -265,5 +268,65 @@ func TestFSFaultsFlag(t *testing.T) {
 	if code, _, errw := runCLI(t, "-fsfaults", "write=0.0001", "-fsfault-seed", "7",
 		"-journal", filepath.Join(dir, "r.aqj"), glucose); code != exitCompleted {
 		t.Fatalf("low-rate fsfaults run exit %d (stderr: %s)", code, errw)
+	}
+}
+
+// goldenRuns are the invocations every golden assay runs under, in
+// order; "$TMP" names the assay's private directory, so the journaled
+// crash is resumed by the row after it.
+var goldenRuns = [][]string{
+	nil,
+	{"-trace"},
+	{"-faults", "moderate", "-seed", "42", "-recover"},
+	{"-replan", "-faults", "harsh", "-seed", "7"},
+	{"-margin", "0.1", "-faults", "mild", "-seed", "3", "-recover"},
+	{"-no-certify", "-replan"},
+	{"-faults", "moderate", "-seed", "42", "-journal", "$TMP/crash.aqj", "-crash-at", "5"},
+	{"-resume", "$TMP/crash.aqj"},
+}
+
+// budgetRuns pin where a -budget trips on a fresh run: planning and
+// execution must charge the meter exactly as they always have.
+var budgetRuns = map[string][][]string{
+	"glucose": {
+		{"-budget", "20", "-faults", "moderate", "-seed", "42", "-journal", "$TMP/plantrip.aqj"},
+		{"-budget", "80", "-faults", "moderate", "-seed", "42", "-journal", "$TMP/cancel.aqj"},
+	},
+	"glycomics": {
+		{"-budget", "100"},
+		{"-budget", "150"},
+		{"-budget", "300", "-replan", "-faults", "mild", "-seed", "5"},
+	},
+}
+
+// TestGolden runs the paper assays under the golden matrix and compares
+// exit code, stdout and stderr with testdata/golden/<assay>.golden.
+func TestGolden(t *testing.T) {
+	enzyme := filepath.Join(t.TempDir(), "enzyme2.asy")
+	if err := os.WriteFile(enzyme, []byte(assays.EnzymeSource(2)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []struct{ name, path string }{
+		{"glucose", glucose},
+		{"glycomics", "../../testdata/glycomics.asy"},
+		{"enzyme2", enzyme},
+	} {
+		t.Run(a.name, func(t *testing.T) {
+			t.Parallel()
+			tmp := t.TempDir()
+			clean := strings.NewReplacer(tmp, "$TMP").Replace
+			var b strings.Builder
+			for _, flags := range append(goldenRuns, budgetRuns[a.name]...) {
+				args := make([]string, 0, len(flags)+1)
+				for _, f := range flags {
+					args = append(args, strings.ReplaceAll(f, "$TMP", tmp))
+				}
+				code, out, errw := runCLI(t, append(args, a.path)...)
+				fmt.Fprintf(&b, "=== fluidvm %s\nexit %d\n", strings.Join(append(flags, filepath.Base(a.path)), " "), code)
+				golden.Section(&b, "stdout", clean(out))
+				golden.Section(&b, "stderr", clean(errw))
+			}
+			golden.Check(t, filepath.Join("testdata", "golden", a.name+".golden"), b.String())
+		})
 	}
 }

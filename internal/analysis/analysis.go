@@ -179,14 +179,7 @@ func (ctx *Context) Parts() []analysisPart {
 	if ctx.parts != nil {
 		return ctx.parts
 	}
-	hasUnknown := false
-	for _, n := range ctx.Graph.Nodes() {
-		if n != nil && n.Unknown && !n.IsLeaf() {
-			hasUnknown = true
-			break
-		}
-	}
-	if !hasUnknown {
+	if !ctx.Graph.NeedsPartition() {
 		ctx.parts = []analysisPart{{g: ctx.Graph}}
 		return ctx.parts
 	}

@@ -568,6 +568,10 @@ func (m *Machine) VesselVolume(name string) float64 {
 // worst-case metering jitter.
 func (m *Machine) Faults() *faults.Injector { return m.flt }
 
+// Source returns the volume source the machine draws planned volumes
+// from (nil for a listing run against a volume table).
+func (m *Machine) Source() VolumeSource { return m.src }
+
 // Events returns the events recorded so far (the live slice, not a
 // copy); external drivers diff its length across ExecOne calls to detect
 // per-instruction faults.

@@ -204,14 +204,14 @@ func boundedExecCell(ca *compiledAssay, pname string, snapshotEvery int, dir str
 	cell := &BoundedExecCell{Assay: ca.name, Profile: pname}
 
 	runBudgeted := func(meter *budget.Meter, jw *journal.Writer) (*recovery.Outcome, string, error) {
-		m, err := ca.newBudgetedMachine(p, boundedSeed, meter)
+		m, err := ca.Machine(runConfig(p, boundedSeed, meter))
 		if err != nil {
 			return nil, "", err
 		}
 		ropts := opts
 		ropts.Journal = jw
 		ropts.Budget = meter
-		out := recovery.Run(m, ca.cg.Prog, ca.compiled(), ropts)
+		out := recovery.Run(m, ca.Prog, ca.Compiled(), ropts)
 		fp, err := machineFP(m)
 		return out, fp, err
 	}

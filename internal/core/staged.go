@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"aquavol/internal/budget"
 	"aquavol/internal/dag"
@@ -203,13 +205,14 @@ func (sp *StagedPlan) SolvePart(i int, measure Measure) (*Plan, error) {
 	return plan, nil
 }
 
-// SolveStatic solves every part that needs no run-time measurement, in
-// order, and returns the indices solved. Typically called at compile time;
-// the remaining parts are solved during execution as measurements arrive.
+// SolveStatic solves every part that needs no run-time measurement and
+// is not solved yet, in order, and returns the indices it solved.
+// Typically called at compile time; the remaining parts are solved during
+// execution as measurements arrive.
 func (sp *StagedPlan) SolveStatic() ([]int, error) {
 	var done []int
 	for i := 0; i < sp.NumParts(); i++ {
-		if !sp.Static(i) {
+		if !sp.Static(i) || sp.Plans[i] != nil {
 			continue
 		}
 		// A static part may still depend on productions of earlier static
@@ -232,4 +235,13 @@ func (sp *StagedPlan) SolveStatic() ([]int, error) {
 		done = append(done, i)
 	}
 	return done, nil
+}
+
+// Fork returns a copy of sp for one run: parts solved so far are shared,
+// and parts solved later land in the copy only. The partition and Vnorms
+// are read-only after construction and shared too.
+func (sp *StagedPlan) Fork() *StagedPlan {
+	f := *sp
+	f.Plans, f.UsedLP, f.produced = slices.Clone(sp.Plans), slices.Clone(sp.UsedLP), maps.Clone(sp.produced)
+	return &f
 }

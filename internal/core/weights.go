@@ -139,10 +139,8 @@ func computeVnormsSeeded(g *dag.Graph, seed func(*dag.Node) float64, margin floa
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	for _, n := range g.Nodes() {
-		if n != nil && n.Unknown && !n.IsLeaf() {
-			return nil, ErrNeedsPartition
-		}
+	if g.NeedsPartition() {
+		return nil, ErrNeedsPartition
 	}
 	order := g.TopoOrder()
 	v := &Vnorms{

@@ -176,6 +176,18 @@ func (g *Graph) Nodes() []*Node { return g.nodes }
 // must not mutate it.
 func (g *Graph) Edges() []*Edge { return g.edges }
 
+// NeedsPartition reports whether g has an unknown-volume node with uses:
+// such a graph cannot be planned whole, only partition by partition
+// (§3.5).
+func (g *Graph) NeedsPartition() bool {
+	for _, n := range g.nodes {
+		if n != nil && n.Unknown && !n.IsLeaf() {
+			return true
+		}
+	}
+	return false
+}
+
 // NumNodes reports the number of nodes.
 func (g *Graph) NumNodes() int { return len(g.nodes) }
 

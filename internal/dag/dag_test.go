@@ -424,6 +424,9 @@ func TestPartitionGlycomicsShape(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	if !g.NeedsPartition() {
+		t.Fatal("NeedsPartition = false for a graph with used unknown separations")
+	}
 	res, err := Partition(g)
 	if err != nil {
 		t.Fatal(err)
@@ -460,17 +463,31 @@ func TestPartitionGlycomicsShape(t *testing.T) {
 	}
 }
 
+// Graphs whose unknown-volume nodes have no uses need no partitioning:
+// the result is one part mirroring the graph.
 func TestPartitionNoUnknownsSinglePart(t *testing.T) {
-	g := fig2()
-	res, err := Partition(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumParts() != 1 || len(res.Bindings) != 0 {
-		t.Fatalf("parts = %d bindings = %d, want 1, 0", res.NumParts(), len(res.Bindings))
-	}
-	if res.Parts[0].NumNodes() != 7 || res.Parts[0].NumEdges() != 8 {
-		t.Fatal("single part should mirror the original graph")
+	unknownLeaf := fig2()
+	unknownLeaf.NodeByName("N").Unknown = true
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+	}{
+		{"fig2", fig2()},
+		{"unknown leaf", unknownLeaf},
+	} {
+		if tc.g.NeedsPartition() {
+			t.Fatalf("%s: NeedsPartition = true, want false", tc.name)
+		}
+		res, err := Partition(tc.g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.NumParts() != 1 || len(res.Bindings) != 0 {
+			t.Fatalf("%s: parts = %d bindings = %d, want 1, 0", tc.name, res.NumParts(), len(res.Bindings))
+		}
+		if res.Parts[0].NumNodes() != 7 || res.Parts[0].NumEdges() != 8 {
+			t.Fatalf("%s: single part should mirror the original graph", tc.name)
+		}
 	}
 }
 
@@ -613,14 +630,16 @@ func TestQuickPartitionInvariants(t *testing.T) {
 				return false
 			}
 		}
+		measured := false
+		for _, b := range res.Bindings {
+			measured = measured || b.SourceUnknown
+		}
+		if g.NeedsPartition() != measured {
+			return false // partitioning is needed exactly when a cut is measured
+		}
 		for _, pg := range res.Parts {
-			if pg.Validate() != nil {
-				return false
-			}
-			for _, n := range pg.Nodes() {
-				if n.Unknown && !n.IsLeaf() {
-					return false // unknown nodes must be cut
-				}
+			if pg.Validate() != nil || pg.NeedsPartition() {
+				return false // unknown nodes must be cut
 			}
 		}
 		return true

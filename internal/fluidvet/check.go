@@ -228,6 +228,7 @@ var replayCritical = map[string]bool{
 	"bench":    true,
 	"budget":   true,
 	"vfs":      true,
+	"pipeline": true,
 }
 
 // isReplayCritical reports whether pkg is in the replay-critical set.

@@ -250,6 +250,13 @@ func TestDeterminismCertifyFixture(t *testing.T) {
 	runFixture(t, "certify", Determinism)
 }
 
+// TestDeterminismPipelineFixture pins the compile pipeline's scoping:
+// listings and journaled plan hashes come out of it, so map-ordered
+// verifier inputs and clock reads there are flagged.
+func TestDeterminismPipelineFixture(t *testing.T) {
+	runFixture(t, "pipeline", Determinism)
+}
+
 // TestDeterminismOutOfScope: the same constructs outside the
 // replay-critical set produce nothing.
 func TestDeterminismOutOfScope(t *testing.T) {

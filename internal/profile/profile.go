@@ -12,89 +12,47 @@ import (
 	"fmt"
 
 	"aquavol/internal/aquacore"
-	"aquavol/internal/codegen"
 	"aquavol/internal/core"
 	"aquavol/internal/dag"
 	"aquavol/internal/lang/elab"
+	"aquavol/internal/pipeline"
 )
 
 // Yields maps unknown-volume node ids to their measured output/input
 // fractions.
 type Yields map[int]float64
 
-// recorder wraps a StagedSource and records per-node yields as the
-// machine reports measurements.
-type recorder struct {
-	inner  aquacore.VolumeSource
-	g      *dag.Graph
-	inputs map[int]float64 // planned input volume per node
-	yields Yields
-}
-
-func (r *recorder) EdgeVolume(edgeID int) (float64, bool) { return r.inner.EdgeVolume(edgeID) }
-func (r *recorder) NodeVolume(nodeID int) (float64, bool) { return r.inner.NodeVolume(nodeID) }
-
-func (r *recorder) Measured(nodeID int, port string, volume float64) {
-	if port == dag.PortEffluent || (port == dag.PortDefault && r.g.Node(nodeID).Kind == dag.Concentrate) {
-		if in, ok := r.inputs[nodeID]; ok && in > 0 {
-			r.yields[nodeID] = volume / in
-		}
-	}
-	r.inner.Measured(nodeID, port, volume)
-}
-
 // Run executes the elaborated assay once on the simulator with staged
 // run-time volume management and returns the measured yield of every
-// unknown-volume node. simCfg controls the simulated hardware (its
+// unknown-volume node: its measured output over the input volume the
+// run planned for it. simCfg controls the simulated hardware (its
 // SeparationYield is what a real profiling run would discover).
 func Run(ep *elab.Program, cfg core.Config, simCfg aquacore.Config) (Yields, error) {
-	sp, err := core.NewStagedPlan(ep.Graph, cfg)
+	res, err := pipeline.Build(ep, pipeline.Options{Config: cfg})
 	if err != nil {
 		return nil, err
 	}
-	src, err := aquacore.NewStagedSource(sp, nil)
+	if res.Findings.HasErrors() {
+		return nil, res.Findings
+	}
+	m, err := res.Machine(simCfg)
 	if err != nil {
 		return nil, err
 	}
-	rec := &recorder{inner: src, g: ep.Graph, inputs: map[int]float64{}, yields: Yields{}}
-
-	cg, err := codegen.Generate(ep, ep.Graph, codegen.Config{NoForwarding: true})
-	if err != nil {
+	if _, err := m.Run(res.Prog); err != nil {
 		return nil, err
 	}
-	// Planned input volumes of unknown nodes become known part by part;
-	// resolve them lazily through a wrapper that asks the staged source.
-	m := aquacore.New(simCfg, ep.Graph, &inputTracking{rec: rec, src: src, part: sp})
-	dry := map[string]float64{}
-	for slot, v := range ep.Init {
-		dry[ep.Slots[slot]] = v
-	}
-	m.SetDry(dry)
-	if _, err := m.Run(cg.Prog); err != nil {
-		return nil, err
-	}
-	return rec.yields, nil
-}
-
-// inputTracking snapshots each unknown node's planned input volume the
-// moment the plan covering it becomes available, so the recorder can
-// compute yield = measured / input.
-type inputTracking struct {
-	rec  *recorder
-	src  *aquacore.StagedSource
-	part *core.StagedPlan
-}
-
-func (t *inputTracking) EdgeVolume(edgeID int) (float64, bool) { return t.src.EdgeVolume(edgeID) }
-func (t *inputTracking) NodeVolume(nodeID int) (float64, bool) { return t.src.NodeVolume(nodeID) }
-
-func (t *inputTracking) Measured(nodeID int, port string, volume float64) {
-	if _, ok := t.rec.inputs[nodeID]; !ok {
-		if in, ok := t.src.NodeVolume(nodeID); ok {
-			t.rec.inputs[nodeID] = in
+	// The snapshot's measurement log holds every output the machine
+	// measured; the run's source still holds each node's planned input.
+	yields := Yields{}
+	for _, ms := range m.Snapshot().Measurements {
+		if ms.Port == dag.PortEffluent || (ms.Port == dag.PortDefault && res.Graph.Node(ms.Node).Kind == dag.Concentrate) {
+			if in, ok := m.Source().NodeVolume(ms.Node); ok && in > 0 {
+				yields[ms.Node] = ms.Volume / in
+			}
 		}
 	}
-	t.rec.Measured(nodeID, port, volume)
+	return yields, nil
 }
 
 // Apply returns a clone of g with the profiled yields installed as static
