@@ -169,8 +169,9 @@ echo "== proof-carrying plans (E16) =="
 # with exactly one typed cause each. The kill table is timing-free and
 # deterministic, so two runs must agree byte for byte; the per-assay
 # certify-vs-solve overhead is wall-clock and lives in the JSON report
-# (BENCH_certify.json, uploaded as a CI artifact).
-"$tmp/volbench" -experiment certify -json BENCH_certify.json >"$tmp/certify1.out"
+# (bench-certify.json, untracked and uploaded as a CI artifact; the
+# recorded trajectory BENCH_certify.json is never rewritten here).
+"$tmp/volbench" -experiment certify -json bench-certify.json >"$tmp/certify1.out"
 "$tmp/volbench" -experiment certify >"$tmp/certify2.out"
 cmp "$tmp/certify1.out" "$tmp/certify2.out"
 # The gate itself must be live, not just the library: a compile whose

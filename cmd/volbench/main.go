@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	volbench [-experiment all|fig5|glucose|glycomics|enzyme|rounding|table2|scaling|lpablation|ilp|regen|robustness|margin-sweep|durability|replan|solver|storage-chaos|bounded|certify]
+//	volbench [-experiment all|fig5|glucose|glycomics|enzyme|rounding|table2|scaling|lpablation|ilp|regen|ablations|cascade-depth|replica-sweep|regen-strategy|output-skew|robustness|margin-sweep|durability|replan|solver|storage-chaos|bounded|certify]
 //	         [-full] [-sweep N] [-seeds N] [-json FILE] [-ilp-nodes N] [-ilp-time D]
 //
 // -experiment solver measures the raw planning throughput/latency
@@ -51,86 +51,27 @@ func main() {
 	full := flag.Bool("full", false, "include the long Enzyme10 LP solve")
 	sweep := flag.Int("sweep", 5, "max N for the EnzymeN scaling sweep")
 	seeds := flag.Int("seeds", 5, "seeds per cell in the robustness Monte-Carlo sweep")
-	jsonOut := flag.String("json", "", "write the solver experiment's machine-readable report to this file")
+	jsonOut := flag.String("json", "", "write the machine-readable report of the solver, storage-chaos, bounded or certify experiment to this file")
 	ilpNodes := flag.Int("ilp-nodes", 0, "B&B node budget for the ilp experiment (0 = default 20000)")
 	ilpTime := flag.Duration("ilp-time", 0, "wall-clock guard per ilp solve (0 = default 15s)")
 	flag.Parse()
 	ilpBounds := bench.ILPBounds{Nodes: *ilpNodes, Time: *ilpTime}
 
-	var tables []*bench.Table
+	var (
+		tables []*bench.Table
+		report any // the experiment's -json report, when it has one
+		err    error
+	)
+	reported := func(t *bench.Table, r any, e error) { tables, report, err = []*bench.Table{t}, r, e }
 	switch *experiment {
 	case "solver":
-		t, report, err := bench.SolverBaseline()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "solver baseline: %v\n", err)
-			os.Exit(1)
-		}
-		tables = []*bench.Table{t}
-		if *jsonOut != "" {
-			blob, err := json.MarshalIndent(report, "", "  ")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "encoding report: %v\n", err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(*jsonOut, append(blob, '\n'), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonOut, err)
-				os.Exit(1)
-			}
-		}
+		reported(bench.SolverBaseline())
 	case "storage-chaos":
-		t, report, err := bench.StorageChaos()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "storage chaos: %v\n", err)
-			os.Exit(1)
-		}
-		tables = []*bench.Table{t}
-		if *jsonOut != "" {
-			blob, err := json.MarshalIndent(report, "", "  ")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "encoding report: %v\n", err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(*jsonOut, append(blob, '\n'), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonOut, err)
-				os.Exit(1)
-			}
-		}
+		reported(bench.StorageChaos())
 	case "certify":
-		t, report, err := bench.Certify()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "certify matrix: %v\n", err)
-			os.Exit(1)
-		}
-		tables = []*bench.Table{t}
-		if *jsonOut != "" {
-			blob, err := bench.WriteCertifyReport(report)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "encoding report: %v\n", err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(*jsonOut, blob, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonOut, err)
-				os.Exit(1)
-			}
-		}
+		reported(bench.Certify())
 	case "bounded":
-		t, report, err := bench.Bounded()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bounded execution: %v\n", err)
-			os.Exit(1)
-		}
-		tables = []*bench.Table{t}
-		if *jsonOut != "" {
-			blob, err := bench.WriteBoundedReport(report)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "encoding report: %v\n", err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(*jsonOut, blob, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonOut, err)
-				os.Exit(1)
-			}
-		}
+		reported(bench.Bounded())
 	case "all":
 		tables = bench.All(*full, *sweep)
 	case "fig5":
@@ -178,6 +119,20 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
 		flag.Usage()
 		os.Exit(2)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", *experiment, err)
+		os.Exit(1)
+	}
+	if *jsonOut != "" && report != nil {
+		blob, err := json.MarshalIndent(report, "", "  ")
+		if err == nil {
+			err = os.WriteFile(*jsonOut, append(blob, '\n'), 0o644)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonOut, err)
+			os.Exit(1)
+		}
 	}
 	for i, t := range tables {
 		if i > 0 {

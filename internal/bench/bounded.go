@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -14,10 +13,8 @@ import (
 	"aquavol/internal/core"
 	"aquavol/internal/faults"
 	"aquavol/internal/ilp"
-	"aquavol/internal/journal"
 	"aquavol/internal/lp"
 	recovery "aquavol/internal/recover"
-	"aquavol/internal/vfs"
 )
 
 // E15: bounded execution. The cancel-at-every-boundary chaos matrix for
@@ -200,85 +197,41 @@ func boundedExecCell(ca *compiledAssay, pname string, snapshotEvery int, dir str
 	if !ok {
 		return nil, fmt.Errorf("unknown fault preset %q", pname)
 	}
-	opts := recovery.Options{SnapshotEvery: snapshotEvery}
-	cell := &BoundedExecCell{Assay: ca.name, Profile: pname}
-
-	runBudgeted := func(meter *budget.Meter, jw *journal.Writer) (*recovery.Outcome, string, error) {
-		m, err := ca.Machine(runConfig(p, boundedSeed, meter))
-		if err != nil {
-			return nil, "", err
-		}
-		ropts := opts
-		ropts.Journal = jw
-		ropts.Budget = meter
-		out := recovery.Run(m, ca.Prog, ca.Compiled(), ropts)
-		fp, err := machineFP(m)
-		return out, fp, err
-	}
-
-	// Reference: uninterrupted journaled run with a counting meter.
-	refPath := filepath.Join(dir, ca.name+"-"+pname+"-bounded-ref.aqj")
-	jw, f, err := journal.Create(vfs.OS{}, refPath, false)
+	run := chaosRun{ca: ca, p: p, seed: boundedSeed, opts: recovery.Options{SnapshotEvery: snapshotEvery}}
+	base := filepath.Join(dir, ca.name+"-"+pname+"-bounded")
+	ref, err := run.reference(base + "-ref.aqj")
 	if err != nil {
 		return nil, err
 	}
-	refMeter := budget.New(0)
-	refOut, want, err := runBudgeted(refMeter, jw)
-	if cerr := f.Close(); cerr != nil && err == nil {
-		err = fmt.Errorf("closing reference journal: %w", cerr)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if refOut.Status == recovery.Aborted {
-		return nil, fmt.Errorf("reference run aborted: %w", refOut.Err)
-	}
-	cell.WorkUnits = refMeter.Used()
+	cell := &BoundedExecCell{Assay: ca.name, Profile: pname, WorkUnits: ref.work}
 
 	// Cancel at a sweep of instruction boundaries; each must fail-stop
 	// (typed cause, no outcome record) and resume bit-identically.
-	cancelPath := filepath.Join(dir, ca.name+"-"+pname+"-bounded-cancel.aqj")
 	for _, k := range boundedSweep(cell.WorkUnits, 24) {
-		jw, f, err := journal.Create(vfs.OS{}, cancelPath, true)
-		if err != nil {
-			return nil, err
-		}
-		out, _, err := runBudgeted(budget.New(0).CancelAfter(k), jw)
-		if cerr := f.Close(); cerr != nil && err == nil { //fluidvet:allow syncerr the cancelled journal is crash-equivalent by design
-			err = cerr
-		}
+		v, err := run.strike(base+"-cancel.aqj", blow{cancel: k}, ref.fp)
 		if err != nil {
 			return nil, fmt.Errorf("cancel at %d: %w", k, err)
 		}
 		cell.CancelPoints++
-		if out.Status != recovery.Aborted || !errors.Is(out.Err, budget.ErrCancelled) {
-			return nil, fmt.Errorf("cancel at %d: status %v err %w, want aborted/caller-cancelled",
-				k, out.Status, out.Err)
+		if !errors.Is(v.cause, budget.ErrCancelled) {
+			return nil, fmt.Errorf("cancel at %d: err %w, want aborted/caller-cancelled", k, v.cause)
 		}
-		recs, _, err := journal.Recover(vfs.OS{}, cancelPath)
-		if err != nil {
-			return nil, fmt.Errorf("cancel at %d: recovering journal: %w", k, err)
-		}
-		outcomeFree := true
-		for _, r := range recs {
-			if r.Kind == journal.KindOutcome {
-				outcomeFree = false
-			}
-		}
-		if outcomeFree {
+		if !v.outcome {
 			cell.CleanCancels++
 		}
-		got, err := resumeFromFile(ca, p, boundedSeed, opts, cancelPath)
+		identical, err := resumedNewest(v, nil)
 		if err != nil {
 			return nil, fmt.Errorf("resume after cancel at %d: %w", k, err)
 		}
-		if got == want {
+		if identical {
 			cell.Resumed++
 		}
 	}
 
 	// Exactly U instructions of budget admit the whole run.
-	out, _, err := runBudgeted(budget.New(cell.WorkUnits), nil)
+	opts := run.opts
+	opts.Budget = budget.New(cell.WorkUnits)
+	out, _, err := ca.runRecovered(p, boundedSeed, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -425,6 +378,24 @@ func Bounded() (*Table, *BoundedReport, error) {
 		return nil, nil, err
 	}
 	report := &BoundedReport{Schema: "aquavol/bench-bounded/v1", Solver: solver, Exec: exec}
+	p50, p99, n, err := cancelLatency(32)
+	if err != nil {
+		return nil, nil, err
+	}
+	report.CancelLatencyP50Micros, report.CancelLatencyP99Micros, report.CancelLatencySamples = p50, p99, n
+	base, metered, err := budgetOverhead()
+	if err != nil {
+		return nil, nil, err
+	}
+	report.BaselinePlansPerSec, report.MeteredPlansPerSec = base, metered
+	if metered > 0 {
+		report.OverheadPct = 100 * (base/metered - 1)
+	}
+	return boundedTable(solver, exec), report, nil
+}
+
+// boundedTable renders E15's solver cases and exec cells.
+func boundedTable(solver []BoundedSolverCase, exec []BoundedExecCell) *Table {
 	t := &Table{
 		ID:    "E15/Bounded",
 		Title: "bounded execution: cancel at every boundary, typed stop, bit-identical resume",
@@ -461,28 +432,5 @@ func Bounded() (*Table, *BoundedReport, error) {
 		"solver: cancel at charge k must stop with the typed cause after exactly k work units; a budget of exactly W completes",
 		"exec: cancel at instruction k fail-stops the journal (typed cause, no outcome record) and the salvaged prefix resumes bit-identical to the uninterrupted run",
 		fmt.Sprintf("snapshot cadence 4 boundaries; fixed seed %d; cancellation latency and polling overhead are wall-clock and live in the JSON report only", boundedSeed))
-
-	p50, p99, n, err := cancelLatency(32)
-	if err != nil {
-		return nil, nil, err
-	}
-	report.CancelLatencyP50Micros, report.CancelLatencyP99Micros, report.CancelLatencySamples = p50, p99, n
-	base, metered, err := budgetOverhead()
-	if err != nil {
-		return nil, nil, err
-	}
-	report.BaselinePlansPerSec, report.MeteredPlansPerSec = base, metered
-	if metered > 0 {
-		report.OverheadPct = 100 * (base/metered - 1)
-	}
-	return t, report, nil
-}
-
-// WriteBoundedReport renders the report as BENCH_bounded.json's bytes.
-func WriteBoundedReport(r *BoundedReport) ([]byte, error) {
-	blob, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(blob, '\n'), nil
+	return t
 }

@@ -11,6 +11,7 @@ import (
 	"aquavol/internal/budget"
 	"aquavol/internal/core"
 	"aquavol/internal/dag"
+	"aquavol/internal/golden"
 )
 
 // The E15 acceptance gate, solver half: cancelling every certified
@@ -43,6 +44,7 @@ func TestBoundedSolverMatrix(t *testing.T) {
 			t.Errorf("%s/%s: a budget of exactly %d work units did not complete", c.Solver, c.Assay, c.WorkUnits)
 		}
 	}
+	golden.Check(t, "testdata/golden/bounded-solver.golden", boundedTable(cases, nil).String())
 }
 
 // The E15 acceptance gate, exec half (one assay for speed; volbench
@@ -75,6 +77,7 @@ func TestBoundedExecTrichotomy(t *testing.T) {
 	if !cell.CompletedAtBudget {
 		t.Errorf("a budget of exactly %d instructions did not complete the run", cell.WorkUnits)
 	}
+	golden.Check(t, "testdata/golden/bounded-exec-glucose.golden", boundedTable(nil, []BoundedExecCell{*cell}).String())
 }
 
 // The sweep always covers both ends without duplicates.

@@ -1,0 +1,66 @@
+package bench
+
+import (
+	"errors"
+	"path/filepath"
+	"testing"
+
+	"aquavol/internal/assays"
+	"aquavol/internal/budget"
+	"aquavol/internal/faults"
+	recovery "aquavol/internal/recover"
+	"aquavol/internal/vfs"
+)
+
+// The chaos driver's verdict for each kind of blow, on one run: glucose
+// under the moderate profile, seed 7, a snapshot every 4 boundaries.
+func TestStrikeVerdicts(t *testing.T) {
+	ca, err := compileForRun("glucose", assays.GlucoseSource, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := faults.Preset("moderate")
+	run := chaosRun{ca: ca, p: p, seed: 7, opts: recovery.Options{SnapshotEvery: 4}}
+	dir := t.TempDir()
+	ref, err := run.reference(filepath.Join(dir, "ref.aqj"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	everyTwo := run
+	everyTwo.opts.SnapshotEvery = 2
+
+	for _, tc := range []struct {
+		name  string
+		run   chaosRun
+		blow  blow
+		cause error // what the struck run's abort wraps; nil when it did not abort
+		want  verdict
+	}{
+		{"kill after boundary 0", run, blow{kill: faults.CrashAt(0)},
+			faults.ErrCrash, verdict{identical: true}},
+		{"cancel after 1 work unit", run, blow{cancel: 1},
+			budget.ErrCancelled, verdict{identical: true}},
+		// The first record's frame never lands: nothing to salvage.
+		{"write@1", run, blow{io: &vfs.Strike{Op: vfs.OpWrite, N: 1}},
+			vfs.ErrIO, verdict{restarted: true, identical: true}},
+		{"create@0", run, blow{io: &vfs.Strike{Op: vfs.OpCreate}},
+			nil, verdict{refused: true}},
+		{"poisoned newest snapshot", everyTwo, blow{kill: faults.CrashAt(9), damage: poisonNewestSnapshot},
+			faults.ErrCrash, verdict{skipped: 1, identical: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v, err := tc.run.strike(filepath.Join(dir, "strike.aqj"), tc.blow, ref.fp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (v.cause == nil) != (tc.cause == nil) || !errors.Is(v.cause, tc.cause) {
+				t.Errorf("abort cause %v, want one wrapping %v", v.cause, tc.cause)
+			}
+			got := *v
+			got.cause = nil
+			if got != tc.want {
+				t.Errorf("verdict %+v, want %+v", got, tc.want)
+			}
+		})
+	}
+}

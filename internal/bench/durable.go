@@ -1,16 +1,12 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 
-	"aquavol/internal/aquacore"
 	"aquavol/internal/faults"
-	"aquavol/internal/journal"
 	recovery "aquavol/internal/recover"
-	"aquavol/internal/vfs"
 )
 
 // DurabilityCell is one assay × profile result of the chaos matrix.
@@ -41,13 +37,6 @@ func durabilityProfiles() []string { return []string{"mild", "moderate"} }
 
 // durabilitySeed fixes the matrix: the whole experiment is reproducible.
 const durabilitySeed = 42
-
-// machineFP fingerprints a machine's complete state: JSON sorts map keys
-// and round-trips float64 exactly, so state equality is byte equality.
-func machineFP(m *aquacore.Machine) (string, error) {
-	b, err := json.Marshal(m.Snapshot())
-	return string(b), err
-}
 
 // DurabilityOutcomes runs the chaos matrix: for every shipped assay and
 // profile, a journaled reference run establishes the expected final
@@ -85,74 +74,29 @@ func DurabilityOutcomes(snapshotEvery int) ([]DurabilityCell, error) {
 
 func durabilityCell(ca *compiledAssay, pname string, p faults.Profile,
 	snapshotEvery int, dir string) (*DurabilityCell, error) {
-	opts := recovery.Options{SnapshotEvery: snapshotEvery}
-	cell := &DurabilityCell{Assay: ca.name, Profile: pname}
-
-	// Reference: uninterrupted journaled run.
-	refPath := filepath.Join(dir, ca.name+"-"+pname+"-ref.aqj")
-	jw, f, err := journal.Create(vfs.OS{}, refPath, false)
+	run := chaosRun{ca: ca, p: p, seed: durabilitySeed, opts: recovery.Options{SnapshotEvery: snapshotEvery}}
+	base := filepath.Join(dir, ca.name+"-"+pname)
+	ref, err := run.reference(base + "-ref.aqj")
 	if err != nil {
 		return nil, err
 	}
-	refOpts := opts
-	refOpts.Journal = jw
-	refOut, refM, err := ca.runRecovered(p, durabilitySeed, refOpts)
-	if cerr := f.Close(); cerr != nil && err == nil {
-		err = fmt.Errorf("closing reference journal: %w", cerr)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if refOut.Status == recovery.Aborted {
-		return nil, fmt.Errorf("reference run aborted: %w", refOut.Err)
-	}
-	want, err := machineFP(refM)
-	if err != nil {
-		return nil, err
-	}
-	if st, err := os.Stat(refPath); err == nil {
-		cell.JournalBytes = st.Size()
-	}
-	refRecs, _, err := journal.Recover(vfs.OS{}, refPath)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range refRecs {
-		switch r.Kind {
-		case journal.KindStep:
-			cell.Boundaries++
-		case journal.KindSnapshot:
-			cell.Snapshots++
-		default:
-			// Begin/transfer/outcome/recovery/replan records are not
-			// boundary or snapshot counts.
-		}
-	}
+	cell := &DurabilityCell{Assay: ca.name, Profile: pname,
+		Boundaries: ref.boundaries, Snapshots: ref.snapshots, JournalBytes: ref.bytes}
 
 	// Kill at every boundary, resume from the journal, compare states.
-	crashPath := filepath.Join(dir, ca.name+"-"+pname+"-crash.aqj")
-	var midJournal []byte // saved crash journal for the damage cases
 	for k := 0; k < cell.Boundaries; k++ {
-		if err := crashRun(ca, p, durabilitySeed, opts, crashPath, k); err != nil {
+		ok, err := resumedNewest(run.strike(base+"-crash.aqj", blow{kill: faults.CrashAt(k)}, ref.fp))
+		if err != nil {
 			return nil, fmt.Errorf("kill at boundary %d: %w", k, err)
 		}
-		if k == cell.Boundaries/2 {
-			midJournal, err = os.ReadFile(crashPath)
-			if err != nil {
-				return nil, err
-			}
-		}
-		got, err := resumeFromFile(ca, p, durabilitySeed, opts, crashPath)
-		if err != nil {
-			return nil, fmt.Errorf("resume after kill at boundary %d: %w", k, err)
-		}
-		if got == want {
+		if ok {
 			cell.Identical++
 		}
 	}
 
-	// Damaged tails: a kill mid-append leaves a torn frame; bad storage
-	// flips bits. Both must recover to the last good record and resume.
+	// Damaged tails on the mid-run kill: a kill mid-append leaves a torn
+	// frame; bad storage flips bits. Both must recover to the last good
+	// record and resume.
 	damaged := []struct {
 		name   string
 		mutate func([]byte) []byte
@@ -160,75 +104,25 @@ func durabilityCell(ca *compiledAssay, pname string, p faults.Profile,
 	}{
 		{"torn", func(b []byte) []byte { return b[:len(b)-5] }, &cell.TornOK},
 		{"flip", func(b []byte) []byte {
-			c := append([]byte(nil), b...)
-			c[len(c)-10] ^= 0x40
-			return c
+			b[len(b)-10] ^= 0x40
+			return b
 		}, &cell.FlipOK},
 	}
 	for _, d := range damaged {
-		if len(midJournal) < 16 {
-			return nil, fmt.Errorf("mid-run journal too small to damage (%d bytes)", len(midJournal))
+		damage := func(b []byte) ([]byte, error) {
+			if len(b) < 16 {
+				return nil, fmt.Errorf("mid-run journal too small to damage (%d bytes)", len(b))
+			}
+			return d.mutate(b), nil
 		}
-		path := filepath.Join(dir, ca.name+"-"+pname+"-"+d.name+".aqj")
-		if err := os.WriteFile(path, d.mutate(midJournal), 0o644); err != nil {
-			return nil, err
-		}
-		got, err := resumeFromFile(ca, p, durabilitySeed, opts, path)
+		var err error
+		*d.ok, err = resumedNewest(run.strike(base+"-"+d.name+".aqj",
+			blow{kill: faults.CrashAt(cell.Boundaries / 2), damage: damage}, ref.fp))
 		if err != nil {
 			return nil, fmt.Errorf("resume from %s journal: %w", d.name, err)
 		}
-		*d.ok = got == want
 	}
 	return cell, nil
-}
-
-// crashRun executes a journaled run killed at boundary k.
-func crashRun(ca *compiledAssay, p faults.Profile, seed int64, opts recovery.Options, path string, k int) error {
-	jw, f, err := journal.Create(vfs.OS{}, path, true)
-	if err != nil {
-		return err
-	}
-	// The simulated kill leaves the journal tail exactly as a real crash
-	// would; a close failure here cannot make the crash more crashed.
-	defer f.Close() //fluidvet:allow syncerr crash simulation: the torn tail is the scenario under test
-	opts.Journal = jw
-	opts.Crash = faults.CrashAt(k)
-	out, _, err := ca.runRecovered(p, seed, opts)
-	if err != nil {
-		return err
-	}
-	if out.Status != recovery.Aborted {
-		return fmt.Errorf("crash run finished with status %s", out.Status)
-	}
-	return nil
-}
-
-// resumeFromFile recovers a (possibly damaged) journal, resumes from its
-// last good snapshot, and fingerprints the final machine state.
-func resumeFromFile(ca *compiledAssay, p faults.Profile, seed int64, opts recovery.Options, path string) (string, error) {
-	recs, _, w, f, err := journal.OpenAppend(vfs.OS{}, path)
-	if err != nil {
-		return "", err
-	}
-	var snap *journal.Snapshot
-	for _, r := range recs {
-		if r.Kind == journal.KindSnapshot {
-			snap = r.Snapshot
-		}
-	}
-	if snap == nil {
-		f.Close() //fluidvet:allow syncerr error path; nothing was appended yet
-		return "", fmt.Errorf("no snapshot survived in %s", path)
-	}
-	opts.Journal = w
-	_, m, err := ca.resumeRecovered(p, seed, opts, snap)
-	if cerr := f.Close(); cerr != nil && err == nil {
-		err = fmt.Errorf("closing resumed journal: %w", cerr)
-	}
-	if err != nil {
-		return "", err
-	}
-	return machineFP(m)
 }
 
 // Durability renders the chaos matrix: the kill-at-every-boundary sweep
@@ -238,6 +132,11 @@ func Durability() *Table {
 	if err != nil {
 		panic(err)
 	}
+	return durabilityTable(cells)
+}
+
+// durabilityTable renders E12's cells.
+func durabilityTable(cells []DurabilityCell) *Table {
 	t := &Table{
 		ID:    "E12/Durable",
 		Title: "durable execution: kill at every instruction boundary, resume from journal",

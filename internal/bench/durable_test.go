@@ -1,6 +1,10 @@
 package bench
 
-import "testing"
+import (
+	"testing"
+
+	"aquavol/internal/golden"
+)
 
 // The durability acceptance gate: killing a journaled run at EVERY
 // instruction boundary of every shipped assay, under randomized fault
@@ -36,4 +40,5 @@ func TestDurabilityMatrixBitIdentical(t *testing.T) {
 			t.Errorf("%s/%s: bit-flipped journal did not recover to the reference state", c.Assay, c.Profile)
 		}
 	}
+	golden.Check(t, "testdata/golden/durability.golden", durabilityTable(cells).String())
 }

@@ -112,15 +112,13 @@ func ReplanOutcomes(seeds int) ([]ReplanCell, error) {
 							return nil, err
 						}
 						path := filepath.Join(dir, fmt.Sprintf("%s-%s-%d.aqj", ca.name, pname, seed))
-						if err := crashRun(ca, p, seed, strat.Opts, path, out.ReplanBoundaries[0]); err != nil {
-							return nil, fmt.Errorf("%s/%s seed %d: crash at replan boundary %d: %w",
+						run := chaosRun{ca: ca, p: p, seed: seed, opts: strat.Opts}
+						ok, err := resumedNewest(run.strike(path, blow{kill: faults.CrashAt(out.ReplanBoundaries[0])}, want))
+						if err != nil {
+							return nil, fmt.Errorf("%s/%s seed %d: kill at replan boundary %d: %w",
 								ca.name, pname, seed, out.ReplanBoundaries[0], err)
 						}
-						got, err := resumeFromFile(ca, p, seed, strat.Opts, path)
-						if err != nil {
-							return nil, fmt.Errorf("%s/%s seed %d: resume: %w", ca.name, pname, seed, err)
-						}
-						if got == want {
+						if ok {
 							cell.ResumeIdentical++
 						}
 					}
@@ -142,6 +140,11 @@ func Replan(seeds int) *Table {
 	if err != nil {
 		panic(err)
 	}
+	return replanTable(seeds, cells)
+}
+
+// replanTable renders E13's cells, each aggregating seeds runs.
+func replanTable(seeds int, cells []ReplanCell) *Table {
 	t := &Table{
 		ID:    "E13/Replan",
 		Title: fmt.Sprintf("adaptive replanning vs regeneration, %d seeds per cell", seeds),

@@ -1,6 +1,10 @@
 package bench
 
-import "testing"
+import (
+	"testing"
+
+	"aquavol/internal/golden"
+)
 
 // TestReplanBeatsRegenOnModerate is E13's acceptance criterion: on the
 // moderate fault profile, adaptive replanning completes at least as many
@@ -52,4 +56,5 @@ func TestReplanBeatsRegenOnModerate(t *testing.T) {
 				assay, replan.ReagentNl, regen.ReagentNl)
 		}
 	}
+	golden.Check(t, "testdata/golden/replan-3seeds.golden", replanTable(seeds, cells).String())
 }

@@ -8,7 +8,6 @@ import (
 	"aquavol/internal/budget"
 	"aquavol/internal/core"
 	"aquavol/internal/faults"
-	"aquavol/internal/journal"
 	"aquavol/internal/lang"
 	"aquavol/internal/pipeline"
 	recovery "aquavol/internal/recover"
@@ -41,7 +40,7 @@ func compileForRun(name, src string, margin float64) (*compiledAssay, error) {
 }
 
 // runConfig is the machine configuration of one run under profile p and
-// seed; meter, when non-nil, bounds it (the E15 cancellation matrix).
+// seed; meter, when non-nil, bounds it.
 func runConfig(p faults.Profile, seed int64, meter *budget.Meter) aquacore.Config {
 	acfg := aquacore.Config{Budget: meter}
 	if p.Enabled() {
@@ -50,29 +49,15 @@ func runConfig(p faults.Profile, seed int64, meter *budget.Meter) aquacore.Confi
 	return acfg
 }
 
-// runRecovered executes one seeded run under the recovery runtime,
-// returning the machine too so callers can fingerprint its final state.
+// runRecovered executes one seeded run under the recovery runtime, its
+// machine bounded by opts.Budget, returning the machine too so callers
+// can fingerprint its final state.
 func (ca *compiledAssay) runRecovered(p faults.Profile, seed int64, opts recovery.Options) (*recovery.Outcome, *aquacore.Machine, error) {
-	m, err := ca.Machine(runConfig(p, seed, nil))
+	m, err := ca.Machine(runConfig(p, seed, opts.Budget))
 	if err != nil {
 		return nil, nil, err
 	}
 	return recovery.Run(m, ca.Prog, ca.Compiled(), opts), m, nil
-}
-
-// resumeRecovered restores snap onto a fresh machine and continues the
-// run — the bench side of the chaos harness.
-func (ca *compiledAssay) resumeRecovered(p faults.Profile, seed int64, opts recovery.Options,
-	snap *journal.Snapshot) (*recovery.Outcome, *aquacore.Machine, error) {
-	m, err := ca.Machine(runConfig(p, seed, nil))
-	if err != nil {
-		return nil, nil, err
-	}
-	out, err := recovery.Resume(m, ca.Prog, ca.Compiled(), opts, snap)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, m, nil
 }
 
 // robustnessAssays compiles the three paper assays for fault sweeps.

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"aquavol/internal/aquacore"
 	"aquavol/internal/assays"
 	"aquavol/internal/faults"
 	"aquavol/internal/journal"
@@ -21,7 +20,8 @@ import (
 // every struck run must land in the trichotomy: clean completion, no
 // journal at all (creation refused, loudly), or abort with a salvageable
 // journal prefix from which a resume reproduces the reference state bit
-// for bit. All counts are deterministic in (assay, seed).
+// for bit (a restart, when no record survived the strike). All counts
+// are deterministic in (assay, seed).
 type StorageChaosCell struct {
 	Assay string `json:"assay"`
 	Seed  int64  `json:"seed"`
@@ -111,45 +111,19 @@ func StorageChaosOutcomes() ([]StorageChaosCell, error) {
 
 func storageChaosCell(ca *compiledAssay, seed int64, dir string) (*StorageChaosCell, error) {
 	p, _ := faults.Preset("moderate")
-	opts := recovery.Options{SnapshotEvery: storageChaosEvery}
+	run := chaosRun{ca: ca, p: p, seed: seed, opts: recovery.Options{SnapshotEvery: storageChaosEvery}}
 	cell := &StorageChaosCell{Assay: ca.name, Seed: seed}
 
-	// Reference: a journaled run on a counting (fault-free) Faulty FS
+	// Reference: a journaled run on a counting (fault-free) filesystem
 	// fixes the expected final state and enumerates every I/O site.
-	counter := vfs.NewFaulty(vfs.OS{}, nil, nil)
-	refPath := filepath.Join(dir, ca.name+"-ref.aqj")
-	jw, f, err := journal.Create(counter, refPath, true)
+	ref, err := run.reference(filepath.Join(dir, ca.name+"-ref.aqj"))
 	if err != nil {
 		return nil, err
-	}
-	refOpts := opts
-	refOpts.Journal = jw
-	refOut, refM, err := ca.runRecovered(p, seed, refOpts)
-	if cerr := f.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	if refOut.Status == recovery.Aborted {
-		return nil, fmt.Errorf("reference run aborted: %w", refOut.Err)
-	}
-	want, err := machineFP(refM)
-	if err != nil {
-		return nil, err
-	}
-	boundaries := 0
-	if recs, _, err := journal.Recover(vfs.OS{}, refPath); err == nil {
-		for _, r := range recs {
-			if r.Kind == journal.KindStep {
-				boundaries++
-			}
-		}
 	}
 
 	// One strike per site: EIO everywhere, plus the op-specific horrors
 	// (short writes tear frames, lying fsyncs drop synced-looking bytes).
-	counts := counter.Counts()
+	counts := ref.sites
 	var strikes []vfs.Strike
 	for n := uint64(0); n < counts[vfs.OpWrite]; n++ {
 		strikes = append(strikes,
@@ -172,8 +146,15 @@ func storageChaosCell(ca *compiledAssay, seed int64, dir string) (*StorageChaosC
 	cell.Strikes = len(strikes)
 
 	path := filepath.Join(dir, ca.name+"-strike.aqj")
+	classify := func(s vfs.Strike) (string, error) {
+		v, err := run.strike(path, blow{io: &s}, ref.fp)
+		if err != nil {
+			return "", err
+		}
+		return v.trichotomy()
+	}
 	for _, strike := range strikes {
-		class, err := ca.strikeOutcome(p, seed, opts, path, strike, want)
+		class, err := classify(strike)
 		if err != nil {
 			return nil, fmt.Errorf("strike %s: %w", strike, err)
 		}
@@ -190,187 +171,47 @@ func storageChaosCell(ca *compiledAssay, seed int64, dir string) (*StorageChaosC
 	// Disk-full scenario: the device fills mid-run and stays full; the
 	// run fail-stops, space is freed (a healthy FS), and the resume
 	// completes bit-identical.
-	enospc := vfs.Strike{Op: vfs.OpWrite, N: counts[vfs.OpWrite] / 2, Err: vfs.ErrNoSpace, Sticky: true}
-	class, err := ca.strikeOutcome(p, seed, opts, path, enospc, want)
+	class, err := classify(vfs.Strike{Op: vfs.OpWrite, N: counts[vfs.OpWrite] / 2, Err: vfs.ErrNoSpace, Sticky: true})
 	if err != nil {
 		return nil, fmt.Errorf("sticky ENOSPC: %w", err)
 	}
 	cell.EnospcResumeOK = class == chaosResumed
 
-	skipped, ok, err := ca.fallbackLadderCase(p, seed, opts, dir, boundaries, want)
+	// The snapshot ladder end to end: a crashed journal's newest snapshot
+	// is poisoned behind a valid CRC, and the resume must skip it,
+	// restore the previous snapshot, and still finish bit-identical.
+	ladder := run
+	ladder.opts.SnapshotEvery = 2
+	v, err := ladder.strike(filepath.Join(dir, ca.name+"-ladder.aqj"),
+		blow{kill: faults.CrashAt(min(ref.boundaries-1, 9)), damage: poisonNewestSnapshot}, ref.fp)
+	if err == nil && v.cause == nil {
+		err = errors.New("crash run finished")
+	}
 	if err != nil {
 		return nil, fmt.Errorf("fallback ladder: %w", err)
 	}
-	cell.FallbackSkipped, cell.FallbackOK = skipped, ok
+	cell.FallbackSkipped = v.skipped
+	cell.FallbackOK = v.skipped == 1 && !v.restarted && v.identical
 	return cell, nil
 }
 
-// strikeOutcome runs one journaled execution with a single injected
-// storage fault and classifies the result against the trichotomy,
-// erroring on any fourth outcome (a silent divergence, an abort that
-// does not wrap ErrAborted, an unsalvageable journal).
-func (ca *compiledAssay) strikeOutcome(p faults.Profile, seed int64, opts recovery.Options,
-	path string, strike vfs.Strike, want string) (string, error) {
-	if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return "", err
-	}
-	fsys := vfs.NewFaulty(vfs.OS{}, []vfs.Strike{strike}, nil)
-	jw, f, err := journal.Create(fsys, path, false)
-	if err != nil {
-		// Creation failed loudly: the run never starts journaled. The
-		// atomicity contract says path holds either nothing or a complete
-		// empty journal (the strike hit after the rename) — never a
-		// half-written header.
-		if st, serr := os.Stat(path); serr == nil && st.Size() != 0 && st.Size() != journal.HeaderSize {
-			return "", fmt.Errorf("failed creation left %d bytes at %s", st.Size(), path)
-		}
+// trichotomy sorts a storage strike's verdict into clean, no journal or
+// resumed, erroring on any fourth outcome: a silent divergence, an abort
+// that does not wrap ErrAborted, a resume that misses the reference.
+func (v *verdict) trichotomy() (string, error) {
+	switch {
+	case v.refused:
 		return chaosNoJournal, nil
-	}
-	ropts := opts
-	ropts.Journal = jw
-	out, m, err := ca.runRecovered(p, seed, ropts)
-	if err != nil {
-		return "", err
-	}
-	// A struck close fires here; the run itself has already finished, so
-	// the error is reported but changes nothing.
-	f.Close() //fluidvet:allow syncerr close is itself a strike site; every append was already fsynced
-
-	if out.Status != recovery.Aborted {
-		got, err := machineFP(m)
-		if err != nil {
-			return "", err
-		}
-		if got != want {
-			return "", fmt.Errorf("non-aborted run diverged from reference")
-		}
+	case v.cause == nil && !v.identical:
+		return "", errors.New("non-aborted run diverged from reference")
+	case v.cause == nil:
 		return chaosClean, nil
-	}
-	if !errors.Is(out.Err, recovery.ErrAborted) {
-		return "", fmt.Errorf("aborted outcome error does not wrap ErrAborted: %w", out.Err)
-	}
-	// The journal's good prefix must salvage on the now-healthy real
-	// filesystem, and the resume must land on the reference state.
-	recs, _, err := journal.Recover(vfs.OS{}, path)
-	if err != nil {
-		return "", fmt.Errorf("salvaging struck journal: %w", err)
-	}
-	var m2 *aquacore.Machine
-	out2, _, err := recovery.ResumeFallback(
-		func() (*aquacore.Machine, error) {
-			mm, err := ca.Machine(runConfig(p, seed, nil))
-			m2 = mm
-			return mm, err
-		},
-		ca.Prog, ca.Compiled(), opts, recovery.Snapshots(recs), nil)
-	if err != nil {
-		return "", fmt.Errorf("resume after strike: %w", err)
-	}
-	if out2.Status == recovery.Aborted {
-		return "", fmt.Errorf("resume after strike aborted: %w", out2.Err)
-	}
-	got, err := machineFP(m2)
-	if err != nil {
-		return "", err
-	}
-	if got != want {
-		return "", fmt.Errorf("resumed state diverged from reference")
+	case !errors.Is(v.cause, recovery.ErrAborted):
+		return "", fmt.Errorf("aborted outcome error does not wrap ErrAborted: %w", v.cause)
+	case !v.identical:
+		return "", errors.New("resumed state diverged from reference")
 	}
 	return chaosResumed, nil
-}
-
-// fallbackLadderCase exercises the snapshot ladder end to end on disk: a
-// crashed journal's newest snapshot record is rewritten with a valid CRC
-// but its machine state dropped — damage the frame checksum cannot see —
-// and the resume must skip it, restore the previous snapshot, and still
-// finish bit-identical.
-func (ca *compiledAssay) fallbackLadderCase(p faults.Profile, seed int64, opts recovery.Options,
-	dir string, boundaries int, want string) (skipped int, ok bool, err error) {
-	path := filepath.Join(dir, ca.name+"-ladder.aqj")
-	jw, f, err := journal.Create(vfs.OS{}, path, true)
-	if err != nil {
-		return 0, false, err
-	}
-	copts := opts
-	copts.SnapshotEvery = 2
-	copts.Journal = jw
-	copts.Crash = faults.CrashAt(min(boundaries-1, 9))
-	out, _, err := ca.runRecovered(p, seed, copts)
-	if cerr := f.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return 0, false, err
-	}
-	if out.Status != recovery.Aborted {
-		return 0, false, fmt.Errorf("crash run finished with status %s", out.Status)
-	}
-
-	recs, _, err := journal.Recover(vfs.OS{}, path)
-	if err != nil {
-		return 0, false, err
-	}
-	last := -1
-	for i, r := range recs {
-		if r.Kind == journal.KindSnapshot {
-			last = i
-		}
-	}
-	if last < 0 || len(recovery.Snapshots(recs)) < 2 {
-		return 0, false, fmt.Errorf("crash journal has too few snapshots for a ladder")
-	}
-	recs[last].Snapshot.Machine = nil
-
-	// Rewrite the journal with the poisoned record: every frame CRC is
-	// valid, the damage is semantic.
-	jw2, f2, err := journal.Create(vfs.OS{}, path, true)
-	if err != nil {
-		return 0, false, err
-	}
-	for _, r := range recs {
-		if err := jw2.Append(r); err != nil {
-			f2.Close() //fluidvet:allow syncerr error path; the append failure being returned supersedes any close error
-			return 0, false, err
-		}
-	}
-	if err := f2.Close(); err != nil {
-		return 0, false, err
-	}
-
-	// End-to-end resume: reopen for append, walk the ladder.
-	recs2, _, w, f3, err := journal.OpenAppend(vfs.OS{}, path)
-	if err != nil {
-		return 0, false, err
-	}
-	ropts := opts
-	ropts.SnapshotEvery = 2
-	ropts.Journal = w
-	snaps := recovery.Snapshots(recs2)
-	var m *aquacore.Machine
-	out2, used, err := recovery.ResumeFallback(
-		func() (*aquacore.Machine, error) {
-			mm, merr := ca.Machine(runConfig(p, seed, nil))
-			m = mm
-			return mm, merr
-		},
-		ca.Prog, ca.Compiled(), ropts, snaps,
-		func(string) { skipped++ })
-	if cerr := f3.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return skipped, false, err
-	}
-	// The chosen-rung announcement is a note too; only the rungs before
-	// it were skipped.
-	skipped--
-	got, err := machineFP(m)
-	if err != nil {
-		return skipped, false, err
-	}
-	ok = used != nil && used == snaps[len(snaps)-2] && skipped == 1 &&
-		out2.Status != recovery.Aborted && got == want
-	return skipped, ok, nil
 }
 
 // journalOverhead measures append throughput with and without the vfs
@@ -438,12 +279,18 @@ func StorageChaos() (*Table, *StorageChaosReport, error) {
 		Seed:          storageChaosSeed,
 		Cells:         cells,
 	}
-	if raw, viaVFS, err := journalOverhead(400); err == nil && raw > 0 && viaVFS > 0 {
-		report.AppendsPerSecRaw = raw
-		report.AppendsPerSecVFS = viaVFS
-		report.OverheadPct = 100 * (raw/viaVFS - 1)
+	raw, viaVFS, err := journalOverhead(400)
+	if err != nil {
+		return nil, nil, fmt.Errorf("journal overhead: %w", err)
 	}
+	report.AppendsPerSecRaw, report.AppendsPerSecVFS = raw, viaVFS
+	report.OverheadPct = 100 * (raw/viaVFS - 1)
 
+	return storageChaosTable(cells), report, nil
+}
+
+// storageChaosTable renders E14's cells.
+func storageChaosTable(cells []StorageChaosCell) *Table {
 	verdict := func(ok bool) string {
 		if ok {
 			return "recovered"
@@ -474,5 +321,5 @@ func StorageChaos() (*Table, *StorageChaosReport, error) {
 		"ENOSPC+resume: a sticky device-full fault mid-run, then resume on a healthy filesystem",
 		"snapshot fallback: the newest snapshot record is rewritten CRC-valid but without machine state; the resume ladder must skip it and restore the previous snapshot",
 		fmt.Sprintf("snapshot cadence %d boundaries; fixed seed %d; the table is byte-reproducible (timing lives only in the JSON report)", storageChaosEvery, storageChaosSeed))
-	return t, report, nil
+	return t
 }

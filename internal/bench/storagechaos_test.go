@@ -1,6 +1,10 @@
 package bench
 
-import "testing"
+import (
+	"testing"
+
+	"aquavol/internal/golden"
+)
 
 // E14: the storage-fault matrix must close the trichotomy on every cell
 // — each injected fault lands on clean completion, a loudly refused
@@ -35,6 +39,7 @@ func TestStorageChaos(t *testing.T) {
 			t.Errorf("%s: snapshot-fallback ladder failed (skipped %d rungs)", c.Assay, c.FallbackSkipped)
 		}
 	}
+	golden.Check(t, "testdata/golden/storage-chaos.golden", storageChaosTable(cells).String())
 }
 
 // The vfs seam's journaling overhead must be measurable and sane (both
