@@ -3,9 +3,8 @@
 //
 //	go test -bench=. -benchmem
 //
-// The long Enzyme10 LP benchmark only runs with -tags none via the
-// volbench CLI (-full); here the default sweep stops where a dense
-// simplex stays interactive.
+// The Enzyme10 LP, with its 1 GB dense tableau, only runs via the
+// volbench CLI (-full); here the default sweep stops at Enzyme5.
 package aquavol
 
 import (
@@ -13,6 +12,7 @@ import (
 
 	"aquavol/internal/aquacore"
 	"aquavol/internal/assays"
+	"aquavol/internal/certify"
 	"aquavol/internal/codegen"
 	"aquavol/internal/core"
 	"aquavol/internal/dag"
@@ -87,7 +87,7 @@ func BenchmarkDAGSolveEnzyme(b *testing.B) { benchDAGSolve(b, assays.EnzymeDAG(4
 func BenchmarkLPEnzyme(b *testing.B)       { benchLP(b, assays.EnzymeDAG(4), core.FormulateOptions{}) }
 
 // E6 (Table 2 row 4): Enzyme10. DAGSolve stays in milliseconds while the
-// LP is deferred to volbench -full (minutes, as in the paper).
+// LP, with its 1 GB tableau, is deferred to volbench -full.
 func BenchmarkDAGSolveEnzyme10(b *testing.B) { benchDAGSolve(b, assays.EnzymeDAG(10)) }
 
 // E6b: the scaling sweep's largest interactive LP point.
@@ -180,6 +180,33 @@ func BenchmarkManageEnzyme(b *testing.B) {
 		}
 	}
 }
+
+// The plan op: the Fig. 6 hierarchy on the compiled Enzyme assay,
+// DAGSolve and its LP fallbacks (4 solves at n=4, 7 at n=5) through
+// certification of the final plan. The LP benchmarks above time one
+// solve on the hand-built DAG instead.
+func benchManageEnzyme(b *testing.B, n int) {
+	b.Helper()
+	src := assays.EnzymeSource(n)
+	c := cfg()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ep, err := lang.Compile(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := core.Manage(ep.Graph, c, core.ManageOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := certify.CheckPlan(res.Plan, c, core.StaticAvailability(c)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkManageEnzyme4(b *testing.B) { benchManageEnzyme(b, 4) }
+func BenchmarkManageEnzyme5(b *testing.B) { benchManageEnzyme(b, 5) }
 
 func BenchmarkSimulateGlucose(b *testing.B) {
 	ep, err := lang.Compile(assays.GlucoseSource)

@@ -183,4 +183,12 @@ go run ./cmd/fluidc -mutate-plan -o "$tmp/mutated.ais" testdata/glucose.asy 2>"$
 grep -q 'failed certification' "$tmp/mutate.err"
 [ ! -s "$tmp/mutated.ais" ]
 
+echo "== solver throughput =="
+# Plans/sec and p50/p99 latency per shipped assay and solver, written
+# to the untracked bench-solver.json and uploaded as a CI artifact, so
+# the solver numbers are on record for every commit. The recorded
+# trajectory BENCH_solver.json is never rewritten here: the regression
+# test reads its dagsolve rows.
+"$tmp/volbench" -experiment solver -json bench-solver.json
+
 echo "CI OK"

@@ -21,10 +21,20 @@
 // sequence (Dantzig's rule with a Bland's-rule anti-cycling fallback), so
 // results are reproducible across runs.
 //
-// The package is intentionally dense (a flat tableau), which is the right
-// trade-off for the paper's problem sizes: the glucose assay generates ~50
-// constraints, the enzyme assay ~900, and the scaled Enzyme10 stress test
-// ~13k. The largest of these fits in a dense tableau in well under a
-// gigabyte and is exercised only by opt-in long benchmarks, mirroring the
-// paper's own observation that LP becomes impractically slow at that scale.
+// Storage is a dense row-major tableau, which keeps the pivot rules
+// simple and their tie-breaks exact, but the work is sparse: a pivot
+// scales the pivot row, records its nonzero columns, and updates the
+// other rows and the cost row at those columns only, so it costs the
+// nonzeros it touches rather than rows × columns. On the final Enzyme
+// LP of the Fig. 6 hierarchy at n=5 a pivot row averages 108 nonzeros
+// of 1,961 columns (about 6%) over its 808 pivots. The tableau is
+// filled straight from each constraint's sparse terms, and its storage
+// comes from a sync.Pool, cleared before every solve, so the
+// hierarchy's repeated LP fallbacks do not each allocate a fresh
+// multi-megabyte tableau. The glucose assay generates ~50 constraints,
+// the enzyme assay ~900, and the scaled Enzyme10 stress test ~13k; the
+// last still needs a dense tableau of over a gigabyte, so it is solved
+// only on request (volbench -full), where its growth over Enzyme
+// mirrors the paper's observation that LP scales far worse than
+// DAGSolve.
 package lp

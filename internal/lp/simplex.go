@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"aquavol/internal/budget"
 )
@@ -150,66 +151,29 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 	}
 	nStruct := len(cols)
 
-	// Rows: user constraints plus internal upper-bound rows.
+	// Rows: user constraints plus internal upper-bound rows, each
+	// normalized to b ≥ 0. flip remembers which rows were negated so
+	// dual values can be mapped back to the original row orientation
+	// after the solve.
 	type row struct {
-		coefs []float64 // dense over structural columns
 		sense Sense
 		rhs   float64
+		flip  bool
 	}
-	var rows []row
-	for _, c := range p.cons {
-		r := row{coefs: make([]float64, nStruct), sense: c.sense, rhs: c.rhs}
-		for _, t := range c.terms {
-			j := t.Var
-			ci := colOf[j]
-			r.coefs[ci] += t.Coef
-			if math.IsInf(p.vars[j].lo, -1) {
-				r.coefs[ci+1] -= t.Coef
-			} else {
-				r.rhs -= t.Coef * shift[j]
-			}
-		}
-		rows = append(rows, r)
-	}
-	for j, v := range p.vars {
-		if math.IsInf(v.hi, 1) {
-			continue
-		}
-		r := row{coefs: make([]float64, nStruct), sense: LE}
-		ci := colOf[j]
-		r.coefs[ci] = 1
-		if math.IsInf(v.lo, -1) {
-			r.coefs[ci+1] = -1
-			r.rhs = v.hi
-		} else {
-			r.rhs = v.hi - v.lo
-		}
-		rows = append(rows, r)
-	}
-
-	m := len(rows)
-	opt := opts.withDefaults(m, nStruct)
-
-	// Normalize to b ≥ 0 and count auxiliary columns. flip remembers which
-	// rows were negated so dual values can be mapped back to the original
-	// row orientation after the solve.
-	flip := make([]bool, m)
+	rows := make([]row, 0, len(p.cons))
 	nSlack, nArt := 0, 0
-	for i := range rows {
-		if rows[i].rhs < 0 {
-			flip[i] = true
-			for k := range rows[i].coefs {
-				rows[i].coefs[k] = -rows[i].coefs[k]
-			}
-			rows[i].rhs = -rows[i].rhs
-			switch rows[i].sense {
+	addRow := func(sense Sense, rhs float64) {
+		r := row{sense: sense, rhs: rhs}
+		if rhs < 0 {
+			r.flip, r.rhs = true, -rhs
+			switch sense {
 			case LE:
-				rows[i].sense = GE
+				r.sense = GE
 			case GE:
-				rows[i].sense = LE
+				r.sense = LE
 			}
 		}
-		switch rows[i].sense {
+		switch r.sense {
 		case LE:
 			nSlack++
 		case GE:
@@ -218,18 +182,60 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 		case EQ:
 			nArt++
 		}
+		rows = append(rows, r)
 	}
+	for _, c := range p.cons {
+		rhs := c.rhs
+		for _, tm := range c.terms {
+			if !math.IsInf(p.vars[tm.Var].lo, -1) {
+				rhs -= tm.Coef * shift[tm.Var]
+			}
+		}
+		addRow(c.sense, rhs)
+	}
+	for _, v := range p.vars {
+		switch {
+		case math.IsInf(v.hi, 1):
+		case math.IsInf(v.lo, -1):
+			addRow(LE, v.hi)
+		default:
+			addRow(LE, v.hi-v.lo)
+		}
+	}
+	m := len(rows)
+	opt := opts.withDefaults(m, nStruct)
 
 	n := nStruct + nSlack + nArt // total columns (rhs stored separately)
-	t := &tableau{
-		m:      m,
-		n:      n,
-		artLo:  n - nArt,
-		stride: n + 1,
-		a:      make([]float64, m*(n+1)),
-		basis:  make([]int, m),
-		cost:   make([]float64, n+1),
-		tol:    opt.Tol,
+	t := newTableau(m, n, n-nArt, opt.Tol)
+	defer tableauPool.Put(t)
+	// Fill the structural columns straight from the sparse terms: the
+	// merged terms name each variable once, so every entry is written
+	// once, negated on a flipped row.
+	set := func(i, j int, coef float64) {
+		if rows[i].flip {
+			coef = -coef
+		}
+		t.a[i*t.stride+j] = coef
+	}
+	for i, c := range p.cons {
+		for _, tm := range c.terms {
+			ci := colOf[tm.Var]
+			set(i, ci, tm.Coef)
+			if math.IsInf(p.vars[tm.Var].lo, -1) {
+				set(i, ci+1, -tm.Coef)
+			}
+		}
+	}
+	ub := len(p.cons) // the next upper-bound row
+	for j, v := range p.vars {
+		if math.IsInf(v.hi, 1) {
+			continue
+		}
+		set(ub, colOf[j], 1)
+		if math.IsInf(v.lo, -1) {
+			set(ub, colOf[j]+1, -1)
+		}
+		ub++
 	}
 	// idCol[i] is the identity column of row i — the auxiliary column
 	// (slack for LE, artificial for GE/EQ) whose only nonzero entry is a
@@ -240,7 +246,6 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 	slackAt, artAt := nStruct, nStruct+nSlack
 	for i, r := range rows {
 		base := i * t.stride
-		copy(t.a[base:base+nStruct], r.coefs)
 		t.a[base+n] = r.rhs
 		switch r.sense {
 		case LE:
@@ -265,16 +270,20 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 
 	sol := &Solution{X: make([]float64, len(p.vars))}
 
-	// Phase 1: minimize the sum of artificial variables.
+	// Phase 1: minimize the sum of artificial variables. The reduced
+	// costs are minus the column sums over the artificial-basic rows,
+	// accumulated row by row (in row order, as a column scan would).
 	if nArt > 0 {
-		for j := 0; j <= n; j++ {
-			var s float64
-			for i := 0; i < m; i++ {
-				if t.basis[i] >= t.artLo {
-					s += t.a[i*t.stride+j]
-				}
+		for i := 0; i < m; i++ {
+			if t.basis[i] < t.artLo {
+				continue
 			}
-			t.cost[j] = -s
+			for j, v := range t.row(i) {
+				t.cost[j] += v
+			}
+		}
+		for j, c := range t.cost {
+			t.cost[j] = -c
 		}
 		// Artificial columns themselves have phase-1 cost 1; their reduced
 		// cost is 1 - (column sum over artificial-basic rows). For the
@@ -298,7 +307,8 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 	}
 
 	// Phase 2: original objective. Build reduced costs from the current
-	// basis: cost[j] = c_j − Σ_i c_{basis(i)}·T[i][j].
+	// basis, cost[j] = c_j − Σ_i c_{basis(i)}·T[i][j], row by row over the
+	// cost-bearing basic rows (in row order, as a column scan would).
 	sign := 1.0
 	if p.dir == Maximize {
 		sign = -1
@@ -309,17 +319,15 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 		}
 		return sign * p.vars[cols[j].orig].obj * cols[j].sign
 	}
-	for j := 0; j <= n; j++ {
-		c := 0.0
-		if j < n {
-			c = structCost(j)
-		}
-		for i := 0; i < m; i++ {
-			if cb := structCost(t.basis[i]); cb != 0 {
-				c -= cb * t.a[i*t.stride+j]
+	for j := range t.cost {
+		t.cost[j] = structCost(j)
+	}
+	for i := 0; i < m; i++ {
+		if cb := structCost(t.basis[i]); cb != 0 {
+			for j, v := range t.row(i) {
+				t.cost[j] -= cb * v
 			}
 		}
-		t.cost[j] = c
 	}
 
 	st, err := t.iterate(&sol.Iterations, opt, false)
@@ -377,7 +385,7 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 	sol.Y = make([]float64, len(p.cons))
 	for i := range p.cons {
 		yhat := -t.cost[idCol[i]]
-		if flip[i] {
+		if rows[i].flip {
 			yhat = -yhat
 		}
 		sol.Y[i] = sign * yhat
@@ -408,7 +416,53 @@ type tableau struct {
 	a      []float64
 	basis  []int
 	cost   []float64
+	nz     []int // scratch: the nonzero columns of the last pivot row
 	tol    float64
+}
+
+// tableauPool recycles tableau storage across solves: the hierarchy's
+// LP fallbacks on the Enzyme assays each need megabytes of tableau,
+// and reusing it keeps that allocation out of every solve. Storage is
+// cleared before each use, so no value survives from one solve into
+// the next.
+var tableauPool sync.Pool // of *tableau
+
+// newTableau returns an all-zero m×n tableau, with storage from
+// tableauPool when a large enough one is free. Return it with
+// tableauPool.Put once the solve is done with it.
+func newTableau(m, n, artLo int, tol float64) *tableau {
+	t, _ := tableauPool.Get().(*tableau)
+	if t == nil {
+		t = new(tableau)
+	}
+	*t = tableau{
+		m:      m,
+		n:      n,
+		artLo:  artLo,
+		stride: n + 1,
+		a:      zeroed(t.a, m*(n+1)),
+		basis:  zeroed(t.basis, m),
+		cost:   zeroed(t.cost, n+1),
+		nz:     t.nz[:0],
+		tol:    tol,
+	}
+	return t
+}
+
+// zeroed returns s resized to k zero elements, reusing its storage when
+// it is large enough.
+func zeroed[E int | float64](s []E, k int) []E {
+	if cap(s) < k {
+		return make([]E, k)
+	}
+	s = s[:k]
+	clear(s)
+	return s
+}
+
+// row returns row i including its rhs slot.
+func (t *tableau) row(i int) []float64 {
+	return t.a[i*t.stride : (i+1)*t.stride]
 }
 
 // iterate pivots until optimality, unboundedness, the iteration budget is
@@ -489,34 +543,44 @@ func (t *tableau) iterate(iters *int, opt Options, phase1 bool) (Status, error) 
 	}
 }
 
-// pivot makes column enter basic in row leave by Gauss–Jordan elimination.
+// pivot makes column enter basic in row leave by Gauss–Jordan
+// elimination. It scales the whole pivot row, records the row's nonzero
+// columns in t.nz, and updates the other rows and the cost row at those
+// columns only, so a pivot costs the pivot row's nonzeros times the
+// entering column's. Where the scaled pivot row is zero, a dense update
+// would subtract a zero: that keeps every nonzero entry's bits and can
+// only change the sign of a zero entry. No pivot decision reads that
+// sign, the duals never see it, and in X it can only reach a zero value
+// of a variable whose lower bound is −0.
 func (t *tableau) pivot(leave, enter int) {
-	base := leave * t.stride
-	pv := t.a[base+enter]
-	inv := 1 / pv
-	prow := t.a[base : base+t.n+1]
-	for j := range prow {
-		prow[j] *= inv
+	prow := t.row(leave)
+	inv := 1 / prow[enter]
+	nz := t.nz[:0]
+	for j, v := range prow {
+		v *= inv
+		prow[j] = v
+		if v != 0 {
+			nz = append(nz, j)
+		}
 	}
+	t.nz = nz
 	prow[enter] = 1 // exact
 	for i := 0; i < t.m; i++ {
 		if i == leave {
 			continue
 		}
-		rbase := i * t.stride
-		f := t.a[rbase+enter]
+		row := t.row(i)
+		f := row[enter]
 		if f == 0 {
 			continue
 		}
-		row := t.a[rbase : rbase+t.n+1]
-		for j := range row {
+		for _, j := range nz {
 			row[j] -= f * prow[j]
 		}
 		row[enter] = 0 // exact
 	}
-	f := t.cost[enter]
-	if f != 0 {
-		for j := range t.cost {
+	if f := t.cost[enter]; f != 0 {
+		for _, j := range nz {
 			t.cost[j] -= f * prow[j]
 		}
 		t.cost[enter] = 0
@@ -546,9 +610,7 @@ func (t *tableau) expelArtificials() {
 		}
 		// Redundant row (the artificial is basic at value ~0 and the row is
 		// numerically zero over real columns): clear it.
-		for j := 0; j <= t.n; j++ {
-			t.a[base+j] = 0
-		}
+		clear(t.row(i))
 		// Keep the artificial basic in the zero row; since artificial
 		// columns are barred from entering in phase 2 and the row is zero,
 		// it never affects ratio tests.

@@ -9,6 +9,7 @@ package aquavol
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -150,34 +151,51 @@ func smokeSolveResidual(t *testing.T) {
 }
 
 // smokeLPSolve runs the simplex on distinct Problems (the certificate's
-// contract: the receiver is mutable state) built from a shared graph.
+// contract: the receiver is mutable state) built from shared graphs.
+// Workers alternate between glucose (optimal, so duals and reduced
+// costs are compared) and the Enzyme LP (proven infeasible after 156
+// phase-1 pivots on a much larger tableau), so pooled tableau storage
+// passes between solves of different sizes. Every solve must match its
+// sequential baseline bit for bit.
 func smokeLPSolve(t *testing.T) {
-	g := assays.GlucoseDAG()
-	fBase, err := core.Formulate(g, cfg(), core.FormulateOptions{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := fBase.Prob.Solve(lp.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Status != lp.Optimal {
-		t.Fatalf("baseline LP status %v", base.Status)
-	}
-	hammer(t, smokeGoroutines, func(worker int) error {
+	graphs := []*dag.Graph{assays.GlucoseDAG(), assays.EnzymeDAG(4)}
+	solve := func(g *dag.Graph) (*lp.Solution, error) {
 		f, err := core.Formulate(g, cfg(), core.FormulateOptions{}, nil)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		sol, err := f.Prob.Solve(lp.Options{})
+		return f.Prob.Solve(lp.Options{})
+	}
+	base := make([]*lp.Solution, len(graphs))
+	for i, g := range graphs {
+		sol, err := solve(g)
+		if err != nil {
+			t.Fatalf("baseline %d: %v", i, err)
+		}
+		base[i] = sol
+	}
+	if base[0].Status != lp.Optimal {
+		t.Fatalf("glucose baseline LP status %v", base[0].Status)
+	}
+	bits := func(xs []float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	hammer(t, smokeGoroutines, func(worker int) error {
+		i := worker % len(graphs)
+		sol, err := solve(graphs[i])
 		if err != nil {
 			return err
 		}
-		if sol.Status != lp.Optimal {
-			return fmt.Errorf("status %v, want optimal", sol.Status)
-		}
-		if !reflect.DeepEqual(sol.X, base.X) {
-			return fmt.Errorf("concurrent LP solution diverges from baseline")
+		want := base[i]
+		if sol.Status != want.Status || sol.Iterations != want.Iterations ||
+			!reflect.DeepEqual(bits(sol.X), bits(want.X)) ||
+			!reflect.DeepEqual(bits(sol.Y), bits(want.Y)) ||
+			!reflect.DeepEqual(bits(sol.ReducedCost), bits(want.ReducedCost)) {
+			return fmt.Errorf("concurrent LP solution %d diverges from baseline", i)
 		}
 		return nil
 	})
