@@ -41,6 +41,12 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== timing gates =="
+# The scaling gate (DAGSolve and aisverify cost per unit of size stays
+# within 2x from a small to a large input) and the nil-meter polling
+# gate time an uninstrumented build, so both skip under -race above.
+go test -count=1 -run 'TestScalingLinear|TestSolverThroughputNoRegressionVsRecorded' ./internal/bench
+
 echo "== fuzz smoke (10s each) =="
 go test -fuzz=FuzzAssemble -fuzztime=10s ./internal/ais
 go test -fuzz=FuzzLint -fuzztime=10s ./internal/analysis

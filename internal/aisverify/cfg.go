@@ -5,10 +5,10 @@ import "aquavol/internal/ais"
 // succs returns the control-flow successors of pc, already filtered to
 // in-range instruction indices (labels at len(instrs) and fallthrough off
 // the end are the program exit). The program must have passed the
-// structural pass, so jump labels are known to resolve.
-func succs(p *ais.Program, pc int) []int {
-	in := p.Instrs[pc]
-	var out []int
+// structural pass, so jump labels are known to resolve. The successors
+// are appended to out, which holds two without growing.
+func succs(p *ais.Program, pc int, out []int) []int {
+	in := &p.Instrs[pc]
 	add := func(target int) {
 		if target >= 0 && target < len(p.Instrs) {
 			out = append(out, target)

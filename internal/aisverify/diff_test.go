@@ -9,87 +9,91 @@ import (
 	"aquavol/internal/assays"
 	"aquavol/internal/codegen"
 	"aquavol/internal/core"
+	"aquavol/internal/dag"
 	"aquavol/internal/diag"
 	"aquavol/internal/lang"
+	"aquavol/internal/pipeline"
 )
+
+// cleanCases are the example assays the differential contract compiles.
+var cleanCases = []struct {
+	name string
+	src  string
+}{
+	{"glucose", assays.GlucoseSource},
+	{"glycomics", assays.GlycomicsSource},
+	{"enzyme2", assays.EnzymeSource(2)},
+	{"enzyme4", assays.EnzymeSource(4)},
+}
+
+// compiledCase is a compiled example assay: its listing, the verifier
+// options its plan implies, and what a machine needs to run it.
+type compiledCase struct {
+	prog   *ais.Program
+	opts   aisverify.Options
+	graph  *dag.Graph
+	source aquacore.VolumeSource
+	dry    map[string]float64
+}
+
+// compileCase plans src with DAGSolve (staged partitions when volumes are
+// statically unknown) and generates its listing.
+func compileCase(t *testing.T, src string) compiledCase {
+	t.Helper()
+	ep, err := lang.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	c := compiledCase{graph: ep.Graph, dry: codegen.DryInit(ep)}
+	var plan *core.Plan
+	usedLP := true
+	if ep.Graph.NeedsPartition() {
+		sp, err := core.NewStagedPlan(ep.Graph, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.source, err = aquacore.NewStagedSource(sp, nil); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		res, err := core.Manage(ep.Graph, cfg, core.ManageOptions{SkipLP: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.graph, plan, usedLP = res.Graph, res.Plan, res.UsedLP
+		c.source = aquacore.PlanSource{Plan: plan}
+	}
+
+	cg, err := codegen.Generate(ep, c.graph, codegen.Config{NoForwarding: usedLP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vols ais.VolumeTable
+	if plan != nil {
+		if vols, err = cg.VolumeTable(aquacore.PlanSource{Plan: plan}.EdgeVolume); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.prog, c.opts = cg.Prog, pipeline.VerifyOptions(ep, plan, vols)
+	return c
+}
 
 // The differential contract of the verifier, direction one: a program the
 // verifier passes must simulate event-free. Every example assay compiles,
 // verifies with zero findings, and runs on the machine with zero volume
 // events.
 func TestVerifierCleanProgramsSimulateClean(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-	}{
-		{"glucose", assays.GlucoseSource},
-		{"glycomics", assays.GlycomicsSource},
-		{"enzyme2", assays.EnzymeSource(2)},
-		{"enzyme4", assays.EnzymeSource(4)},
-	}
-	for _, tc := range cases {
+	for _, tc := range cleanCases {
 		t.Run(tc.name, func(t *testing.T) {
-			ep, err := lang.Compile(tc.src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := core.DefaultConfig()
-			opts := aisverify.Options{}
-			for name := range codegen.DryInit(ep) {
-				opts.DefinedRegs = append(opts.DefinedRegs, name)
-			}
-
-			g := ep.Graph
-			hasUnknown := false
-			for _, n := range g.Nodes() {
-				if n != nil && n.Unknown && !n.IsLeaf() {
-					hasUnknown = true
-				}
-			}
-			var source aquacore.VolumeSource
-			usedLP := false
-			if hasUnknown {
-				sp, err := core.NewStagedPlan(g, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				source, err = aquacore.NewStagedSource(sp, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				opts.UnknownVolumes = true
-				usedLP = true
-			} else {
-				res, err := core.Manage(g, cfg, core.ManageOptions{SkipLP: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				g = res.Graph
-				ps := aquacore.PlanSource{Plan: res.Plan}
-				source = ps
-				opts.NodeVolume = ps.NodeVolume
-				usedLP = res.UsedLP
-			}
-
-			cg, err := codegen.Generate(ep, g, codegen.Config{NoForwarding: usedLP})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !hasUnknown {
-				ps := source.(aquacore.PlanSource)
-				opts.Volumes, err = cg.VolumeTable(ps.EdgeVolume)
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			if findings := aisverify.Verify(cg.Prog, opts); len(findings) != 0 {
+			c := compileCase(t, tc.src)
+			if findings := aisverify.Verify(c.prog, c.opts); len(findings) != 0 {
 				t.Fatalf("verifier findings on %s:\n%v", tc.name, findings)
 			}
 
-			m := aquacore.New(aquacore.Config{}, g, source)
-			m.SetDry(codegen.DryInit(ep))
-			res, err := m.Run(cg.Prog)
+			m := aquacore.New(aquacore.Config{}, c.graph, c.source)
+			m.SetDry(c.dry)
+			res, err := m.Run(c.prog)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,30 +104,33 @@ func TestVerifierCleanProgramsSimulateClean(t *testing.T) {
 	}
 }
 
+// errorWitnesses pair every error-severity AIS0xx code with a program the
+// verifier flags and whose simulation actually faults.
+var errorWitnesses = []struct {
+	code diag.Code
+	src  string
+	tab  ais.VolumeTable
+}{
+	{aisverify.CodeRanOut, // draw from a never-filled reservoir
+		"input s1, ip1\nmove-abs mixer1, s2, 10\nhalt", nil},
+	{aisverify.CodeOverflow, // 60 nl + 60 nl into one 100 nl mixer
+		"input s1, ip1\nmove-abs mixer1, s1, 600\ninput s1, ip1\nmove-abs mixer1, s1, 600\nhalt", nil},
+	{aisverify.CodeLeastCount, // half a least-count unit
+		"input s1, ip1\nmove-abs mixer1, s1, 0.5\nhalt", nil},
+	{aisverify.CodeOccupiedPort, // refill an output port that still holds fluid
+		"input s1, ip1\nmove-abs separator1.out1, s1, 600\nmove-abs separator1.out1, s1, 600\nhalt", nil},
+	{aisverify.CodeUseBeforeDef, // dry arithmetic on an unset register
+		"dry-add r0, 1\nhalt", nil},
+	{aisverify.CodeMalformed, // a register where a vessel belongs
+		"move s1, r0\nhalt", nil},
+}
+
 // Direction two: every error-severity AIS0xx code has a witness program
 // that the verifier flags and whose simulation actually faults (a volume
 // event or a machine error). Warning codes flag conditions the machine
 // tolerates and so have no fault obligation.
 func TestErrorCodesHaveFaultingWitnesses(t *testing.T) {
-	witnesses := []struct {
-		code diag.Code
-		src  string
-		tab  ais.VolumeTable
-	}{
-		{aisverify.CodeRanOut, // draw from a never-filled reservoir
-			"input s1, ip1\nmove-abs mixer1, s2, 10\nhalt", nil},
-		{aisverify.CodeOverflow, // 60 nl + 60 nl into one 100 nl mixer
-			"input s1, ip1\nmove-abs mixer1, s1, 600\ninput s1, ip1\nmove-abs mixer1, s1, 600\nhalt", nil},
-		{aisverify.CodeLeastCount, // half a least-count unit
-			"input s1, ip1\nmove-abs mixer1, s1, 0.5\nhalt", nil},
-		{aisverify.CodeOccupiedPort, // refill an output port that still holds fluid
-			"input s1, ip1\nmove-abs separator1.out1, s1, 600\nmove-abs separator1.out1, s1, 600\nhalt", nil},
-		{aisverify.CodeUseBeforeDef, // dry arithmetic on an unset register
-			"dry-add r0, 1\nhalt", nil},
-		{aisverify.CodeMalformed, // a register where a vessel belongs
-			"move s1, r0\nhalt", nil},
-	}
-	for _, w := range witnesses {
+	for _, w := range errorWitnesses {
 		t.Run(w.code.ID, func(t *testing.T) {
 			prog, err := ais.Assemble(w.src)
 			if err != nil {

@@ -118,7 +118,27 @@ type verifier struct {
 	lc    float64
 	limit float64 // interval ceiling, > cap so overflow stays visible
 	out   diag.List
+
+	// ids holds, per pc, the dense id of each operand: a vessel id for a
+	// vessel, a register id for a dry register, -1 otherwise.
+	ids [][]int
+	// names are the vessel names by vessel id; nregs counts register ids.
+	names []string
+	nregs int
+	entry []int  // register ids of Options.DefinedRegs
+	succ  [2]int // succs' result storage
 }
+
+// A separation's ids continue after its two operands with the ids of its
+// unit's ports, in separatorPorts order.
+var separatorPorts = [...]string{"matrix", "out1", "out2", "pusher"}
+
+const (
+	portMatrix = 2 + iota
+	portOut1
+	portOut2
+	portPusher
+)
 
 // Verify checks p and returns its findings in program order: structural
 // errors first (which, when present, suppress the dataflow passes), then
@@ -151,15 +171,74 @@ func Verify(p *ais.Program, opts Options) diag.List {
 	if len(p.Instrs) == 0 {
 		return v.out
 	}
-	states := v.fixpoint()
+	v.number()
+	states, reached := v.fixpoint()
+	scratch := &states[len(p.Instrs)]
 	for pc := range p.Instrs {
-		if states[pc] == nil {
+		if !reached[pc] {
 			continue
 		}
-		v.transfer(pc, states[pc].clone(), v.emit)
+		scratch.copyFrom(&states[pc])
+		v.transfer(pc, scratch, v.emit)
 	}
-	v.unreachable(states)
+	v.unreachable(reached)
 	return v.out
+}
+
+// number assigns dense ids to every vessel and dry register the program
+// names (Options.DefinedRegs included) and records each instruction's
+// operand ids, so an abstract state is a pair of flat slices.
+func (v *verifier) number() {
+	vessels, regs := map[string]int{}, map[string]int{}
+	vid := func(name string) int {
+		id, ok := vessels[name]
+		if !ok {
+			id = len(v.names)
+			vessels[name] = id
+			v.names = append(v.names, name)
+		}
+		return id
+	}
+	rid := func(name string) int {
+		id, ok := regs[name]
+		if !ok {
+			id = v.nregs
+			regs[name] = id
+			v.nregs++
+		}
+		return id
+	}
+	for _, r := range v.opts.DefinedRegs {
+		v.entry = append(v.entry, rid(r))
+	}
+	total := 0
+	for _, in := range v.prog.Instrs {
+		total += len(in.Operands)
+		if in.Op.IsSeparate() {
+			total += len(separatorPorts)
+		}
+	}
+	all := make([]int, 0, total)
+	v.ids = make([][]int, len(v.prog.Instrs))
+	for pc, in := range v.prog.Instrs {
+		start := len(all)
+		for _, o := range in.Operands {
+			switch {
+			case vesselKind(o):
+				all = append(all, vid(vesselName(o)))
+			case o.Kind == ais.DryReg:
+				all = append(all, rid(o.Name))
+			default:
+				all = append(all, -1)
+			}
+		}
+		if in.Op.IsSeparate() {
+			for _, port := range separatorPorts {
+				all = append(all, vid(in.Operands[0].Name+"."+port))
+			}
+		}
+		v.ids[pc] = all[start:len(all):len(all)]
+	}
 }
 
 // emit records a finding anchored to the instruction at pc, at the
@@ -315,16 +394,19 @@ func (v *verifier) structural() bool {
 	return ok
 }
 
-// fixpoint computes the abstract in-state of every reachable pc.
-func (v *verifier) fixpoint() []*state {
+// fixpoint computes the abstract in-state of every reachable pc. It
+// returns one state per pc plus a scratch state at index len(Instrs),
+// and which pcs are reachable.
+func (v *verifier) fixpoint() ([]state, []bool) {
 	n := len(v.prog.Instrs)
-	states := make([]*state, n)
+	states := newStates(n+1, len(v.names), v.nregs)
+	scratch := &states[n]
+	reached := make([]bool, n)
 	joins := make([]int, n)
-	entry := newState()
-	for _, r := range v.opts.DefinedRegs {
-		entry.define(r)
+	for _, r := range v.entry {
+		states[0].define(r)
 	}
-	states[0] = entry
+	reached[0] = true
 	work := []int{0}
 	inWork := make([]bool, n)
 	inWork[0] = true
@@ -332,15 +414,16 @@ func (v *verifier) fixpoint() []*state {
 		pc := work[0]
 		work = work[1:]
 		inWork[pc] = false
-		st := states[pc].clone()
-		v.transfer(pc, st, nop)
-		for _, s := range succs(v.prog, pc) {
+		scratch.copyFrom(&states[pc])
+		v.transfer(pc, scratch, nop)
+		for _, s := range succs(v.prog, pc, v.succ[:0]) {
 			var changed bool
-			if states[s] == nil {
-				states[s] = st.clone()
+			if !reached[s] {
+				states[s].copyFrom(scratch)
+				reached[s] = true
 				changed = true
 			} else {
-				changed = states[s].join(st)
+				changed = states[s].join(scratch)
 				if changed {
 					joins[s]++
 					// Widen volume-accumulating loops so the fixpoint
@@ -357,20 +440,20 @@ func (v *verifier) fixpoint() []*state {
 			}
 		}
 	}
-	return states
+	return states, reached
 }
 
 // transfer interprets the instruction at pc over st, reporting findings
 // through emit. It mirrors aquacore's concrete semantics: same volume
 // resolution order, same clamping, same tolerances.
 func (v *verifier) transfer(pc int, st *state, emit emitFn) {
-	in := v.prog.Instrs[pc]
+	in := &v.prog.Instrs[pc]
+	id := v.ids[pc]
 	switch in.Op {
 	case ais.Nop, ais.Halt, ais.Mix, ais.Incubate,
 		ais.DryJump:
 		// No volume or register effects (mix/incubate act in place).
 	case ais.Input:
-		dst := vesselName(in.Operands[0])
 		load := exact(v.cap)
 		switch {
 		case v.opts.UnknownVolumes:
@@ -380,11 +463,11 @@ func (v *verifier) transfer(pc int, st *state, emit emitFn) {
 				load = exact(math.Min(nv, v.cap))
 			}
 		}
-		st.set(dst, load) // the machine clears, then fills
+		st.set(id[0], load) // the machine clears, then fills
 	case ais.Move, ais.MoveAbs:
 		v.move(pc, in, st, emit)
 	case ais.Output:
-		src := vesselName(in.Operands[1])
+		src := id[1]
 		cur := st.get(src)
 		if tab, ok := v.opts.Volumes[pc]; ok {
 			st.set(src, itv{cur.lo - tab, cur.hi - tab})
@@ -394,63 +477,62 @@ func (v *verifier) transfer(pc int, st *state, emit emitFn) {
 			st.set(src, itv{}) // whole-vessel drain
 		}
 	case ais.Concentrate:
-		unit := vesselName(in.Operands[0])
+		unit := id[0]
 		cur := st.get(unit)
 		st.set(unit, itv{cur.lo * v.opts.ConcentrateYield, cur.hi * v.opts.ConcentrateYield})
 	case ais.SeparateCE, ais.SeparateSize, ais.SeparateAF, ais.SeparateLC:
-		unit := in.Operands[0].Name
 		if in.Op == ais.SeparateAF || in.Op == ais.SeparateLC {
-			if m := st.get(unit + ".matrix"); m.hi <= eps {
+			if m := st.get(id[portMatrix]); m.hi <= eps {
 				emit(pc, CodeNoMatrix,
-					"%s requires a loaded matrix but %s.matrix is empty", in.Op, unit)
+					"%s requires a loaded matrix but %s.matrix is empty", in.Op, in.Operands[0].Name)
 			}
 		}
-		cur := st.get(unit)
+		cur := st.get(id[0])
 		y := v.opts.SeparationYield
-		st.set(unit+".out1", itv{cur.lo * y, cur.hi * y})
-		st.set(unit+".out2", itv{cur.lo * (1 - y), cur.hi * (1 - y)})
-		st.set(unit, itv{})
-		st.set(unit+".matrix", itv{})
-		st.set(unit+".pusher", itv{})
+		st.set(id[portOut1], itv{cur.lo * y, cur.hi * y})
+		st.set(id[portOut2], itv{cur.lo * (1 - y), cur.hi * (1 - y)})
+		st.set(id[0], itv{})
+		st.set(id[portMatrix], itv{})
+		st.set(id[portPusher], itv{})
 	case ais.SenseOD, ais.SenseFL:
-		unit := vesselName(in.Operands[0])
-		if c := st.get(unit); c.hi <= eps {
+		if c := st.get(id[0]); c.hi <= eps {
 			emit(pc, CodeEmptySense,
-				"%s reads a definitely-empty chamber %s", in.Op, unit)
+				"%s reads a definitely-empty chamber %s", in.Op, v.names[id[0]])
 		}
-		st.define(in.Operands[1].Name)
-		st.set(unit, itv{}) // sensing consumes the sample
+		st.define(id[1])
+		st.set(id[0], itv{}) // sensing consumes the sample
 	case ais.DryMov:
-		v.read(pc, in.Operands[1], st, emit)
-		st.define(in.Operands[0].Name)
+		v.read(pc, in, 1, st, emit)
+		st.define(id[0])
 	case ais.DryAdd, ais.DrySub, ais.DryMul, ais.DryDiv,
 		ais.DryMod, ais.DryLT, ais.DryLE, ais.DryEQ:
-		v.read(pc, in.Operands[1], st, emit)
-		v.read(pc, in.Operands[0], st, emit)
-		st.define(in.Operands[0].Name)
-	case ais.DryNot:
-		v.read(pc, in.Operands[0], st, emit)
-	case ais.DryJZ:
-		v.read(pc, in.Operands[0], st, emit)
+		v.read(pc, in, 1, st, emit)
+		v.read(pc, in, 0, st, emit)
+		st.define(id[0])
+	case ais.DryNot, ais.DryJZ:
+		v.read(pc, in, 0, st, emit)
 	}
 }
 
-// read checks a dry-register read against the definedness lattice.
-func (v *verifier) read(pc int, o ais.Operand, st *state, emit emitFn) {
+// read checks the read of operand i of in against the definedness
+// lattice.
+func (v *verifier) read(pc int, in *ais.Instr, i int, st *state, emit emitFn) {
+	o := in.Operands[i]
 	if o.Kind != ais.DryReg {
 		return
 	}
+	reg := v.ids[pc][i]
 	switch {
-	case !st.may[o.Name]:
+	case !st.may.has(reg):
 		emit(pc, CodeUseBeforeDef,
 			"dry register %q is read but never defined before this point", o.Name)
 		// Define it so one missing definition reports once, not at
 		// every subsequent use.
-		st.define(o.Name)
-	case !st.must[o.Name]:
+		st.define(reg)
+	case !st.must.has(reg):
 		emit(pc, CodeMaybeUndef,
 			"dry register %q may be undefined on some path", o.Name)
-		st.define(o.Name)
+		st.define(reg)
 	}
 }
 
@@ -458,13 +540,13 @@ func (v *verifier) read(pc int, o ais.Operand, st *state, emit emitFn) {
 // the machine does, check it against source contents, least count,
 // destination capacity, and the output-port protocol, then update both
 // vessel intervals.
-func (v *verifier) move(pc int, in ais.Instr, st *state, emit emitFn) {
-	dstName := vesselName(in.Operands[0])
-	srcName := vesselName(in.Operands[1])
-	if dstName == srcName {
+func (v *verifier) move(pc int, in *ais.Instr, st *state, emit emitFn) {
+	dstID, srcID := v.ids[pc][0], v.ids[pc][1]
+	if dstID == srcID {
 		return // self-move: the machine draws and re-adds, net zero
 	}
-	src := st.get(srcName)
+	dstName, srcName := v.names[dstID], v.names[srcID]
+	src := st.get(srcID)
 	var vol itv
 	// known marks a statically-determined transfer volume. Under
 	// UnknownVolumes every vessel's contents are transitively tainted by
@@ -515,14 +597,14 @@ func (v *verifier) move(pc int, in ais.Instr, st *state, emit emitFn) {
 	}
 
 	if o := in.Operands[0]; o.Kind == ais.Unit && (o.Sub == "out1" || o.Sub == "out2") {
-		if dst := st.get(dstName); dst.lo > eps {
+		if dst := st.get(dstID); dst.lo > eps {
 			emit(pc, CodeOccupiedPort,
 				"write to output port %s which still holds at least %.4g nl", dstName, dst.lo)
 		}
 	}
 
 	moved := itv{math.Min(vol.lo, src.lo), math.Min(vol.hi, src.hi)}
-	dst := st.get(dstName)
+	dst := st.get(dstID)
 	after := itv{dst.lo + moved.lo, dst.hi + moved.hi}
 	if after.lo > v.cap+eps {
 		emit(pc, CodeOverflow,
@@ -534,19 +616,19 @@ func (v *verifier) move(pc int, in ais.Instr, st *state, emit emitFn) {
 	if after.hi > v.limit {
 		after.hi = v.limit
 	}
-	st.set(dstName, after)
-	st.set(srcName, itv{src.lo - moved.hi, src.hi - moved.lo})
+	st.set(dstID, after)
+	st.set(srcID, itv{src.lo - moved.hi, src.hi - moved.lo})
 }
 
 // unreachable reports contiguous runs of instructions the CFG never
 // reaches (AIS009).
-func (v *verifier) unreachable(states []*state) {
-	for pc := 0; pc < len(states); pc++ {
-		if states[pc] != nil {
+func (v *verifier) unreachable(reached []bool) {
+	for pc := 0; pc < len(reached); pc++ {
+		if reached[pc] {
 			continue
 		}
 		end := pc
-		for end+1 < len(states) && states[end+1] == nil {
+		for end+1 < len(reached) && !reached[end+1] {
 			end++
 		}
 		if end > pc {

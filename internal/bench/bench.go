@@ -462,49 +462,6 @@ func Table2(full bool) *Table {
 	return t
 }
 
-// ScalingRow is one point of the EnzymeN sweep.
-type ScalingRow struct {
-	N           int
-	Nodes       int
-	Constraints int
-	DAGSolve    time.Duration
-	LP          time.Duration
-}
-
-// Scaling sweeps EnzymeN to expose DAGSolve's linear growth against LP's
-// superlinear growth (the Enzyme→Enzyme10 comparison of §4.3 as a curve).
-func Scaling(maxN int) []ScalingRow {
-	var out []ScalingRow
-	for n := 2; n <= maxN; n++ {
-		g := assays.EnzymeDAG(n)
-		dagT, lpT, cons := solveTimes(g, core.FormulateOptions{})
-		out = append(out, ScalingRow{
-			N: n, Nodes: g.NumNodes(), Constraints: cons, DAGSolve: dagT, LP: lpT,
-		})
-	}
-	return out
-}
-
-// ScalingTable renders Scaling.
-func ScalingTable(maxN int) *Table {
-	t := &Table{
-		ID:     "E6b/scaling",
-		Title:  "EnzymeN sweep: DAGSolve linear vs LP superlinear (§4.3)",
-		Header: []string{"N", "DAG nodes", "LP constraints", "DAGSolve", "LP", "LP/DAGSolve"},
-	}
-	for _, r := range Scaling(maxN) {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", r.N),
-			fmt.Sprintf("%d", r.Nodes),
-			fmt.Sprintf("%d", r.Constraints),
-			fmtDur(r.DAGSolve),
-			fmtDur(r.LP),
-			fmt.Sprintf("%.0fx", float64(r.LP)/float64(r.DAGSolve)),
-		})
-	}
-	return t
-}
-
 // LPAblation reproduces the §4.3 check that DAGSolve's speed does not come
 // from its extra constraints: LP with flow conservation and equal outputs
 // added remains far slower than DAGSolve.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -119,6 +120,15 @@ func (p *Plan) OutputVolumes() map[string]float64 {
 
 // checkMinimums populates Underflows from the assigned volumes.
 func (p *Plan) checkMinimums(cfg Config) {
+	// Size the list first: on an infeasible plan nearly every edge
+	// underflows, and growing it by appends copies it over and over.
+	k := 0
+	for _, e := range p.Graph.Edges() {
+		if e != nil && p.EdgeVolume[e.ID()] < cfg.LeastCount-volTol {
+			k++
+		}
+	}
+	p.Underflows = slices.Grow(p.Underflows, k)
 	for _, e := range p.Graph.Edges() {
 		if e == nil {
 			continue

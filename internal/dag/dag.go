@@ -18,7 +18,7 @@ package dag
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 )
 
 // Kind classifies a node.
@@ -364,37 +364,38 @@ func (g *Graph) Clone() *Graph {
 // TopoOrder returns the nodes in a deterministic topological order (among
 // ready nodes, smallest id first). It panics if the graph has a cycle; use
 // Validate to check first.
+//
+// The ready set is a bitset over node ids with a summary bit per word,
+// so taking the smallest ready id costs two trailing-zero counts after a
+// scan of the summary words. One summary word covers 4,096 ids, so up to
+// that size the order costs O(V + E); beyond it a pop scans at most
+// V/4,096 summary words.
 func (g *Graph) TopoOrder() []*Node {
-	indeg := make(map[*Node]int, len(g.nodes))
-	var ready []*Node
+	indeg := make([]int, len(g.nodes))
+	ready := newIDSet(len(g.nodes))
 	count := 0
 	for _, n := range g.nodes {
 		if n == nil {
 			continue
 		}
 		count++
-		indeg[n] = len(n.in)
+		indeg[n.id] = len(n.in)
 		if len(n.in) == 0 {
-			ready = append(ready, n)
+			ready.add(n.id)
 		}
 	}
-	sort.Slice(ready, func(i, j int) bool { return ready[i].id < ready[j].id })
 	order := make([]*Node, 0, count)
-	for len(ready) > 0 {
-		// Pop the smallest id for determinism.
-		min := 0
-		for i := 1; i < len(ready); i++ {
-			if ready[i].id < ready[min].id {
-				min = i
-			}
+	for {
+		id, ok := ready.popMin()
+		if !ok {
+			break
 		}
-		n := ready[min]
-		ready = append(ready[:min], ready[min+1:]...)
+		n := g.nodes[id]
 		order = append(order, n)
 		for _, e := range n.out {
-			indeg[e.To]--
-			if indeg[e.To] == 0 {
-				ready = append(ready, e.To)
+			indeg[e.To.id]--
+			if indeg[e.To.id] == 0 {
+				ready.add(e.To.id)
 			}
 		}
 	}
@@ -402,4 +403,38 @@ func (g *Graph) TopoOrder() []*Node {
 		panic("dag: TopoOrder on cyclic graph")
 	}
 	return order
+}
+
+// idSet is a set of node ids: bit id of words, plus bit w of summary for
+// every nonzero words[w]. Summary words below lo are zero.
+type idSet struct {
+	words, summary []uint64
+	lo             int
+}
+
+func newIDSet(n int) *idSet {
+	w := (n + 63) / 64
+	return &idSet{words: make([]uint64, w), summary: make([]uint64, (w+63)/64)}
+}
+
+func (s *idSet) add(id int) {
+	w := id >> 6
+	s.words[w] |= 1 << (id & 63)
+	s.summary[w>>6] |= 1 << (w & 63)
+	s.lo = min(s.lo, w>>6)
+}
+
+// popMin removes and returns the smallest id, or false when s is empty.
+func (s *idSet) popMin() (int, bool) {
+	for ; s.lo < len(s.summary); s.lo++ {
+		if sw := s.summary[s.lo]; sw != 0 {
+			w := s.lo<<6 + bits.TrailingZeros64(sw)
+			b := bits.TrailingZeros64(s.words[w])
+			if s.words[w] &^= 1 << b; s.words[w] == 0 {
+				s.summary[s.lo] &^= 1 << (w & 63)
+			}
+			return w<<6 + b, true
+		}
+	}
+	return 0, false
 }

@@ -95,12 +95,12 @@ func (g *Graph) ValidateAll() []error {
 		gray  = 1
 		black = 2
 	)
-	color := make(map[*Node]int, len(g.nodes))
+	color := make([]uint8, len(g.nodes)) // by node id
 	var visit func(n *Node) error
 	visit = func(n *Node) error {
-		color[n] = gray
+		color[n.id] = gray
 		for _, e := range n.out {
-			switch color[e.To] {
+			switch color[e.To.id] {
 			case gray:
 				return fmt.Errorf("dag: cycle through %v -> %v", n, e.To)
 			case white:
@@ -109,11 +109,11 @@ func (g *Graph) ValidateAll() []error {
 				}
 			}
 		}
-		color[n] = black
+		color[n.id] = black
 		return nil
 	}
 	for _, n := range g.nodes {
-		if n != nil && color[n] == white {
+		if n != nil && color[n.id] == white {
 			if err := visit(n); err != nil {
 				errs = append(errs, err)
 				break

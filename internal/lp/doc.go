@@ -29,12 +29,12 @@
 // LP of the Fig. 6 hierarchy at n=5 a pivot row averages 108 nonzeros
 // of 1,961 columns (about 6%) over its 808 pivots. The tableau is
 // filled straight from each constraint's sparse terms, and its storage
-// comes from a sync.Pool, cleared before every solve, so the
-// hierarchy's repeated LP fallbacks do not each allocate a fresh
-// multi-megabyte tableau. The glucose assay generates ~50 constraints,
-// the enzyme assay ~900, and the scaled Enzyme10 stress test ~13k; the
-// last still needs a dense tableau of over a gigabyte, so it is solved
-// only on request (volbench -full), where its growth over Enzyme
-// mirrors the paper's observation that LP scales far worse than
+// is kept between solves as one mutex-guarded spare, cleared before
+// every solve, so the hierarchy's repeated LP fallbacks do not each
+// allocate a fresh multi-megabyte tableau. The glucose assay generates
+// ~50 constraints, the enzyme assay ~900, and the scaled Enzyme10 stress
+// test ~13k; the last still needs a dense tableau of over a gigabyte, so
+// it is solved only on request (volbench -full), where its growth over
+// Enzyme mirrors the paper's observation that LP scales far worse than
 // DAGSolve.
 package lp

@@ -157,25 +157,33 @@ func Generate(p *Planned) (*Result, error) {
 		return nil, err
 	}
 	r := &Result{Planned: p, Prog: gen.Prog, gen: gen}
-	vopts := aisverify.Options{UnknownVolumes: p.Plan == nil}
 	if p.Plan != nil {
-		src := aquacore.PlanSource{Plan: p.Plan}
-		if r.Volumes, err = gen.VolumeTable(src.EdgeVolume); err != nil {
+		if r.Volumes, err = gen.VolumeTable(aquacore.PlanSource{Plan: p.Plan}.EdgeVolume); err != nil {
 			return nil, err
 		}
-		vopts.Volumes, vopts.NodeVolume = r.Volumes, src.NodeVolume
 	}
 	if p.opts.NoVerify {
 		return r, nil
 	}
+	r.Findings = aisverify.Verify(gen.Prog, VerifyOptions(p.ep, p.Plan, r.Volumes))
+	return r, nil
+}
+
+// VerifyOptions are the verifier options for a listing of ep with volume
+// table vols, generated from plan: its planned volumes, or volumes left
+// to run time when plan is nil (a staged assay), and ep's preset dry
+// registers.
+func VerifyOptions(ep *elab.Program, plan *core.Plan, vols ais.VolumeTable) aisverify.Options {
 	var regs []string
-	for name := range codegen.DryInit(p.ep) {
+	for name := range codegen.DryInit(ep) {
 		regs = append(regs, name)
 	}
 	sort.Strings(regs)
-	vopts.DefinedRegs = regs
-	r.Findings = aisverify.Verify(gen.Prog, vopts)
-	return r, nil
+	opts := aisverify.Options{UnknownVolumes: plan == nil, Volumes: vols, DefinedRegs: regs}
+	if plan != nil {
+		opts.NodeVolume = aquacore.PlanSource{Plan: plan}.NodeVolume
+	}
+	return opts
 }
 
 // Build runs Plan, Certify and Generate.
