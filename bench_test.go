@@ -127,7 +127,7 @@ func BenchmarkRegenGlucose(b *testing.B) {
 	g := assays.GlucoseDAG()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		regen.CountNaive(g, cfg(), regen.Options{})
+		regen.Execute(g, cfg(), regen.ExecOptions{})
 	}
 }
 
@@ -135,7 +135,7 @@ func BenchmarkRegenEnzyme10(b *testing.B) {
 	g := assays.EnzymeDAG(10)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		regen.CountNaive(g, cfg(), regen.Options{})
+		regen.Execute(g, cfg(), regen.ExecOptions{})
 	}
 }
 

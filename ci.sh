@@ -38,6 +38,11 @@ echo "wrote fluidvet-findings.json ($(wc -c <fluidvet-findings.json) bytes)"
 echo "== go build =="
 go build ./...
 
+echo "== perfbench compiles against this tree =="
+# perfbench is its own module (aquavol replaced by ..), so go build ./...
+# above skips it; vet type-checks it without leaving a binary behind.
+(cd perfbench && go vet ./...)
+
 echo "== go test -race =="
 go test -race ./...
 

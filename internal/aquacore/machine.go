@@ -437,10 +437,6 @@ func (m *Machine) Patches() ais.VolumeTable {
 // residual re-solve must plan against.
 func (m *Machine) VolumeConfig() core.Config { return m.cfg.Volume }
 
-// MoveSecondsPer reports the configured fluid-transport time per wet
-// instruction, for repair-cost estimates.
-func (m *Machine) MoveSecondsPer() float64 { return m.cfg.MoveSeconds }
-
 // Run executes the program to completion (or the instruction budget) and
 // returns the result.
 func (m *Machine) Run(prog *ais.Program) (*Result, error) {
@@ -602,10 +598,9 @@ func (m *Machine) Idle(seconds float64) {
 }
 
 // PlannedTransfer reports the planned (pre-fault) source vessel and
-// volume of the transfer instruction at pc, resolving exactly as step
-// would: absolute operand, volume table, then edge-keyed VolumeSource.
-// ok is false for non-transfer instructions and for whole-vessel moves,
-// whose draw amount is whatever the vessel holds.
+// volume of the transfer instruction at pc, resolved by plannedVolume as
+// step resolves it. ok is false for non-transfer instructions and for
+// whole-vessel moves, whose draw amount is whatever the vessel holds.
 func (m *Machine) PlannedTransfer(pc int, in ais.Instr) (src string, vol float64, ok bool) {
 	switch in.Op {
 	case ais.Move, ais.MoveAbs, ais.Output:
@@ -619,44 +614,60 @@ func (m *Machine) PlannedTransfer(pc int, in ais.Instr) (src string, vol float64
 	if !ok {
 		return "", 0, false
 	}
-	if in.Op == ais.MoveAbs {
-		if len(in.Operands) > 2 && in.Operands[2].Kind == ais.Imm {
-			return src, in.Operands[2].Value * m.cfg.Volume.LeastCount, true
-		}
+	if vol, ok = m.plannedVolume(pc, in); !ok {
 		return "", 0, false
 	}
-	if v, has := m.patches[pc]; has {
-		return src, v, true
-	}
-	if v, has := m.instrVol[pc]; has {
-		return src, v, true
-	}
-	if in.Edge >= 0 && m.src != nil {
-		if v, has := m.src.EdgeVolume(in.Edge); has {
-			return src, v, true
-		}
-	}
-	return "", 0, false
+	return src, vol, true
 }
 
-// PlannedLoad reports the planned (pre-fault) volume the Input
-// instruction at pc would draw from its port, resolving exactly as step
-// would: patch overlay, node-keyed VolumeSource, machine maximum.
-// ok is false for non-Input instructions. Repair-cost estimates use it
-// to price the fresh reagent a regeneration replay would consume.
-func (m *Machine) PlannedLoad(pc int, in ais.Instr) (float64, bool) {
-	if in.Op != ais.Input {
-		return 0, false
+// plannedVolume resolves the planned (pre-fault) volume of the transfer
+// at pc, checking in order MoveAbs's immediate, the patch overlay, the
+// volume table, and the source's volume for the instruction's edge. ok
+// is false when none applies: a whole-vessel transfer, or an edge the
+// source has no volume for.
+func (m *Machine) plannedVolume(pc int, in ais.Instr) (float64, bool) {
+	if in.Op == ais.MoveAbs {
+		return immOperand(in, 2) * m.cfg.Volume.LeastCount, true
 	}
 	if v, ok := m.patches[pc]; ok {
-		return math.Min(v, m.cfg.Volume.MaxCapacity), true
+		return v, true
 	}
-	if in.Node >= 0 && m.src != nil {
-		if v, ok := m.src.NodeVolume(in.Node); ok {
-			return math.Min(v, m.cfg.Volume.MaxCapacity), true
-		}
+	if v, ok := m.instrVol[pc]; ok {
+		return v, true
 	}
-	return m.cfg.Volume.MaxCapacity, true
+	if in.Edge >= 0 && m.src != nil {
+		return m.src.EdgeVolume(in.Edge)
+	}
+	return 0, false
+}
+
+// immOperand returns operand i of in when it is an immediate, else 0.
+func immOperand(in ais.Instr, i int) float64 {
+	if i < len(in.Operands) && in.Operands[i].Kind == ais.Imm {
+		return in.Operands[i].Value
+	}
+	return 0
+}
+
+// underflow raises EventUnderflow for a nonzero transfer below the
+// least count; what names the transfer in the event.
+func (m *Machine) underflow(pc int, in ais.Instr, what string, vol float64) {
+	if vol < m.cfg.Volume.LeastCount-1e-9 && vol > 0 {
+		m.event(EventUnderflow, pc, in, "%s of %.4g nl below least count %.4g nl", what, vol, m.cfg.Volume.LeastCount)
+	}
+}
+
+// clampDraw returns the volume a draw of vol from src actually takes:
+// all of it, or — raising EventRanOut — what src holds.
+func (m *Machine) clampDraw(pc int, in ais.Instr, srcName string, src *vessel, vol float64) float64 {
+	// volTol absorbs serialization rounding (volume tables round to 9
+	// significant digits); it is 10⁵× below the least count.
+	const volTol = 1e-6
+	if vol > src.vol+volTol {
+		m.event(EventRanOut, pc, in, "need %.4g nl but %s holds %.4g nl", vol, srcName, src.vol)
+		return src.vol
+	}
+	return vol
 }
 
 // measured reports one run-time measurement to the volume source and
@@ -736,12 +747,6 @@ func (m *Machine) step(pc int, in ais.Instr, prog *ais.Program, pcOut *int) (jum
 		m.res.DryInstrs++
 		m.res.DrySeconds += cfg.DrySeconds
 	}
-	argNum := func(i int) float64 {
-		if i < len(in.Operands) && in.Operands[i].Kind == ais.Imm {
-			return in.Operands[i].Value
-		}
-		return 0
-	}
 
 	switch in.Op {
 	case ais.Nop:
@@ -787,36 +792,21 @@ func (m *Machine) step(pc int, in ais.Instr, prog *ais.Program, pcOut *int) (jum
 			return false, fmt.Errorf("aquacore: pc %d: bad move source", pc)
 		}
 		srcV := m.vessel(srcName)
-		var vol float64
-		metered := true
-		patchVol, hasPatch := m.patches[pc]
-		tabVol, hasTab := m.instrVol[pc]
+		vol, metered := m.plannedVolume(pc, in)
 		switch {
-		case in.Op == ais.MoveAbs:
-			vol = argNum(2) * cfg.Volume.LeastCount
-		case hasPatch:
-			vol = patchVol
-		case hasTab:
-			vol = tabVol
-		case in.Edge >= 0 && m.src != nil:
-			v, ok := m.src.EdgeVolume(in.Edge)
-			if !ok {
-				if errs := m.sourceSolveErrors(); len(errs) > 0 {
-					return false, fmt.Errorf("aquacore: pc %d: no volume for edge %d: runtime solve failed earlier: %w",
-						pc, in.Edge, errs[len(errs)-1])
-				}
-				return false, fmt.Errorf("aquacore: pc %d: no volume for edge %d (runtime plan not ready?)", pc, in.Edge)
-			}
-			vol = v
-		case in.Edge >= 0:
+		case metered:
+		case in.Edge >= 0 && m.src == nil:
 			return false, fmt.Errorf("aquacore: pc %d: edge-annotated move but no volume source or table", pc)
+		case in.Edge >= 0:
+			if errs := m.sourceSolveErrors(); len(errs) > 0 {
+				return false, fmt.Errorf("aquacore: pc %d: no volume for edge %d: runtime solve failed earlier: %w",
+					pc, in.Edge, errs[len(errs)-1])
+			}
+			return false, fmt.Errorf("aquacore: pc %d: no volume for edge %d (runtime plan not ready?)", pc, in.Edge)
 		default:
 			vol = srcV.vol // whole-vessel transfer
-			metered = false
 		}
-		if vol < cfg.Volume.LeastCount-1e-9 && vol > 0 {
-			m.event(EventUnderflow, pc, in, "move of %.4g nl below least count %.4g nl", vol, cfg.Volume.LeastCount)
-		}
+		m.underflow(pc, in, "move", vol)
 		planned := vol
 		if m.flt != nil {
 			// Fixed draw order: failure coin first, then metering jitter.
@@ -829,13 +819,7 @@ func (m *Machine) step(pc int, in ais.Instr, prog *ais.Program, pcOut *int) (jum
 				vol = m.flt.Meter(vol)
 			}
 		}
-		// volTol absorbs serialization rounding (volume tables round to 9
-		// significant digits); it is 10⁵× below the least count.
-		const volTol = 1e-6
-		if vol > srcV.vol+volTol {
-			m.event(EventRanOut, pc, in, "need %.4g nl but %s holds %.4g nl", vol, srcName, srcV.vol)
-			vol = srcV.vol
-		}
+		vol = m.clampDraw(pc, in, srcName, srcV, vol)
 		comp := srcV.draw(vol)
 		delivered := vol
 		if m.flt != nil {
@@ -859,20 +843,11 @@ func (m *Machine) step(pc int, in ais.Instr, prog *ais.Program, pcOut *int) (jum
 			return false, fmt.Errorf("aquacore: pc %d: bad output source", pc)
 		}
 		srcV := m.vessel(srcName)
-		vol := srcV.vol
-		metered := false
-		if v, ok := m.patches[pc]; ok {
-			vol = v
-			metered = true
-		} else if v, ok := m.instrVol[pc]; ok {
-			vol = v
-			metered = true
-		} else if in.Edge >= 0 && m.src != nil {
-			if v, ok := m.src.EdgeVolume(in.Edge); ok {
-				vol = v
-				metered = true
-			}
+		vol, metered := m.plannedVolume(pc, in)
+		if !metered {
+			vol = srcV.vol
 		}
+		m.underflow(pc, in, "output", vol)
 		planned := vol
 		port := in.Operands[0].Name
 		if m.flt != nil {
@@ -884,6 +859,7 @@ func (m *Machine) step(pc int, in ais.Instr, prog *ais.Program, pcOut *int) (jum
 				vol = m.flt.Meter(vol)
 			}
 		}
+		vol = m.clampDraw(pc, in, srcName, srcV, vol)
 		comp := srcV.draw(vol)
 		delivered := vol
 		if m.flt != nil {
@@ -898,23 +874,23 @@ func (m *Machine) step(pc int, in ais.Instr, prog *ais.Program, pcOut *int) (jum
 			Port: port, Volume: delivered, Composition: comp,
 		})
 	case ais.Mix:
-		wet(cfg.MoveSeconds + argNum(1))
+		wet(cfg.MoveSeconds + immOperand(in, 1))
 		attr("transport", cfg.MoveSeconds)
-		attr(in.Operands[0].Name, argNum(1))
+		attr(in.Operands[0].Name, immOperand(in, 1))
 		if m.flt != nil && m.flt.Fails() {
 			m.event(EventFUFailure, pc, in, "transient FU failure: %s did not run", in.Operands[0].Name)
 		}
 	case ais.Incubate:
-		wet(cfg.MoveSeconds + argNum(2))
+		wet(cfg.MoveSeconds + immOperand(in, 2))
 		attr("transport", cfg.MoveSeconds)
-		attr(in.Operands[0].Name, argNum(2))
+		attr(in.Operands[0].Name, immOperand(in, 2))
 		if m.flt != nil && m.flt.Fails() {
 			m.event(EventFUFailure, pc, in, "transient FU failure: %s did not run", in.Operands[0].Name)
 		}
 	case ais.Concentrate:
-		wet(cfg.MoveSeconds + argNum(2))
+		wet(cfg.MoveSeconds + immOperand(in, 2))
 		attr("transport", cfg.MoveSeconds)
-		attr(in.Operands[0].Name, argNum(2))
+		attr(in.Operands[0].Name, immOperand(in, 2))
 		if m.flt != nil && m.flt.Fails() {
 			// Nothing concentrated, nothing measured: the sample stays in
 			// the unit for a retry.
@@ -930,9 +906,9 @@ func (m *Machine) step(pc int, in ais.Instr, prog *ais.Program, pcOut *int) (jum
 			m.noteSolveErrors(pc, in)
 		}
 	case ais.SeparateAF, ais.SeparateLC, ais.SeparateCE, ais.SeparateSize:
-		wet(cfg.MoveSeconds + argNum(1))
+		wet(cfg.MoveSeconds + immOperand(in, 1))
 		attr("transport", cfg.MoveSeconds)
-		attr(in.Operands[0].Name, argNum(1))
+		attr(in.Operands[0].Name, immOperand(in, 1))
 		unit := in.Operands[0].Name
 		if m.flt != nil && m.flt.Fails() {
 			// Nothing separated, nothing measured: the sample stays in the

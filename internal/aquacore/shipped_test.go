@@ -10,6 +10,7 @@ import (
 	"aquavol/internal/codegen"
 	"aquavol/internal/core"
 	"aquavol/internal/lang"
+	"aquavol/internal/pipeline"
 )
 
 // The shipped-artifact path: serialize the listing and the volume table to
@@ -117,5 +118,78 @@ func TestVolumeTableCoverage(t *testing.T) {
 	// An unresolvable edge is an error.
 	if _, err := cg.VolumeTable(func(int) (float64, bool) { return 0, false }); err == nil {
 		t.Fatal("expected error for unresolvable edges")
+	}
+}
+
+// An output whose volume table entry asks for more than its source
+// vessel holds is checked like a move: it raises one ran-out event and
+// delivers what the vessel held, not the planned volume. One below the
+// least count raises an underflow, as a move does.
+func TestShippedOutputOverdrawRunsOut(t *testing.T) {
+	ep, err := lang.Compile(`ASSAY out START
+fluid a, b, d;
+d = MIX a AND b IN RATIOS 1:3 FOR 10;
+OUTPUT d;
+END`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pipeline.Build(ep, pipeline.Options{Config: core.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := ais.Assemble(res.Prog.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// held records what each output's source vessel holds before it runs.
+	held := map[int]float64{}
+	run := func(tab ais.VolumeTable) *aquacore.Result {
+		t.Helper()
+		m := aquacore.New(aquacore.Config{Trace: func(e aquacore.TraceEntry) {
+			if e.Instr.Op == ais.Output {
+				held[e.PC] = e.Vessels[len(e.Vessels)-1].Pre
+			}
+		}}, nil, nil)
+		m.SetDry(codegen.DryInit(ep))
+		m.SetVolumeTable(tab)
+		r, err := m.Run(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	tab, err := ais.ParseVolumeTable(res.Volumes.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := run(tab); !r.Clean() {
+		t.Fatalf("shipped run events: %v", r.Events)
+	}
+	pc, nth := -1, 0
+	for p, in := range prog.Instrs {
+		if _, ok := tab[p]; ok && in.Op == ais.Output {
+			pc = p
+			break
+		}
+		if in.Op == ais.Output {
+			nth++
+		}
+	}
+	if pc < 0 {
+		t.Fatal("listing has no output with a volume table entry")
+	}
+	tab[pc] = held[pc] + 5
+	r := run(tab)
+	if len(r.Events) != 1 || r.Events[0].Kind != aquacore.EventRanOut || r.Events[0].PC != pc {
+		t.Fatalf("events %v, want one ran-out at pc %d", r.Events, pc)
+	}
+	if got := r.Outputs[nth].Volume; math.Abs(got-held[pc]) > 1e-9 {
+		t.Errorf("output delivered %.6g nl, want the %.6g nl its vessel held", got, held[pc])
+	}
+	tab[pc] = core.DefaultConfig().LeastCount / 2
+	r = run(tab)
+	if len(r.Events) != 1 || r.Events[0].Kind != aquacore.EventUnderflow || r.Events[0].PC != pc {
+		t.Fatalf("events %v, want one underflow at pc %d", r.Events, pc)
 	}
 }

@@ -66,24 +66,13 @@ func (t *Table) String() string {
 
 func cfg() core.Config { return core.DefaultConfig() }
 
-// timeIt measures f's wall time, repeating short runs for stability.
+// timeIt reports f's median wall time. One untimed call first pays f's
+// cold costs (first-use allocations such as an LP tableau); timed
+// repetitions then run until ~50 ms of samples are in.
 func timeIt(f func()) time.Duration {
-	start := time.Now() //fluidvet:allow determinism wall-clock timing is the benchmark's measurement, reported not replayed
 	f()
-	first := time.Since(start) //fluidvet:allow determinism wall-clock timing is the benchmark's measurement, reported not replayed
-	if first > 200*time.Millisecond {
-		return first
-	}
-	// Repeat until ~50 ms of samples.
-	reps := 1
-	total := first
-	for total < 50*time.Millisecond && reps < 10000 {
-		start = time.Now() //fluidvet:allow determinism wall-clock timing is the benchmark's measurement, reported not replayed
-		f()
-		total += time.Since(start) //fluidvet:allow determinism wall-clock timing is the benchmark's measurement, reported not replayed
-		reps++
-	}
-	return total / time.Duration(reps)
+	sorted, _, _ := sample(func() error { f(); return nil }, 1, 10000, 50*time.Millisecond)
+	return percentile(sorted, 0.5)
 }
 
 func fmtDur(d time.Duration) string {
@@ -423,15 +412,15 @@ func Table2(full bool) *Table {
 	}
 
 	dagT, lpT, cons := solveTimes(assays.GlucoseDAG(), core.FormulateOptions{})
-	rg := regen.CountNaive(assays.GlucoseDAG(), c, regen.Options{})
-	addRow("Glucose", dagT, lpT, cons, "49", rg.Regenerations, "2")
+	rg := regen.Execute(assays.GlucoseDAG(), c, regen.ExecOptions{})
+	addRow("Glucose", dagT, lpT, cons, "49", rg.Triggers, "2")
 
 	dagT, lpT, cons = glycomicsTimes()
 	addRow("Glycomics", dagT, lpT, cons, "84", 0, "n/a")
 
 	dagT, lpT, cons = solveTimes(assays.EnzymeDAG(4), core.FormulateOptions{})
-	rg = regen.CountNaive(assays.EnzymeDAG(4), c, regen.Options{})
-	addRow("Enzyme", dagT, lpT, cons, "872", rg.Regenerations, "85")
+	rg = regen.Execute(assays.EnzymeDAG(4), c, regen.ExecOptions{})
+	addRow("Enzyme", dagT, lpT, cons, "872", rg.Triggers, "85")
 
 	e10 := assays.EnzymeDAG(10)
 	c10 := cfg()
@@ -452,8 +441,8 @@ func Table2(full bool) *Table {
 		}
 		lp10 = time.Since(start) //fluidvet:allow determinism wall-clock timing is the benchmark's measurement, reported not replayed
 	}
-	rg = regen.CountNaive(e10, c10, regen.Options{})
-	addRow("Enzyme10", dagT, lp10, f10.Counts.Total(), "11258", rg.Regenerations, "1313")
+	rg = regen.Execute(e10, c10, regen.ExecOptions{})
+	addRow("Enzyme10", dagT, lp10, f10.Counts.Total(), "11258", rg.Triggers, "1313")
 
 	t.Notes = append(t.Notes,
 		"paper (750 MHz P3, Matlab LIPSOL): glucose ~0/0.08s, glycomics 0.003/0.28s, enzyme 0.016/0.73s, enzyme10 1.57s/20min",
@@ -601,14 +590,14 @@ func Regen() *Table {
 		{"Enzyme10", assays.EnzymeDAG(10), "1313", nil},
 	}
 	for _, r := range rows {
-		naive := regen.CountNaive(r.g, c, regen.Options{})
+		naive := regen.Execute(r.g, c, regen.ExecOptions{})
 		withPlan := "-"
 		if r.planned != nil {
 			withPlan = fmt.Sprintf("%d", regen.CountPlanned(r.planned).Regenerations)
 		}
 		t.Rows = append(t.Rows, []string{
 			r.name,
-			fmt.Sprintf("%d (%s)", naive.Regenerations, r.paper),
+			fmt.Sprintf("%d (%s)", naive.Triggers, r.paper),
 			withPlan,
 		})
 	}

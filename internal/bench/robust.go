@@ -78,59 +78,86 @@ func robustnessAssays() ([]*compiledAssay, error) {
 	return out, nil
 }
 
-// Robustness is the Monte-Carlo fault sweep: every paper assay × every
-// fault preset × seeds runs under the recovery runtime, reporting how
-// often execution completes (cleanly or degraded), how much repair it
-// took, and what the faults cost in fluid and time.
+// RobustnessCell is one (assay, profile) cell of the E10 sweep, summed
+// over its seeds.
+type RobustnessCell struct {
+	Assay, Profile               string
+	Completed, Degraded, Aborted int
+	Retries, Regens              int
+	// FaultLoss and WetSeconds are summed in seed order.
+	FaultLoss, WetSeconds float64
+}
+
+// RobustnessOutcomes is the Monte-Carlo fault sweep: every paper assay
+// × every fault preset × seeds runs under the recovery runtime.
+func RobustnessOutcomes(seeds int) ([]RobustnessCell, error) {
+	cas, err := robustnessAssays()
+	if err != nil {
+		return nil, err
+	}
+	var cells []RobustnessCell
+	for _, ca := range cas {
+		for _, pname := range faults.Presets() {
+			p, _ := faults.Preset(pname)
+			c := RobustnessCell{Assay: ca.name, Profile: pname}
+			for s := 0; s < seeds; s++ {
+				out, _, err := ca.runRecovered(p, int64(1000*s+7), recovery.Options{})
+				if err != nil {
+					return nil, err
+				}
+				switch out.Status {
+				case recovery.Completed:
+					c.Completed++
+				case recovery.CompletedDegraded:
+					c.Degraded++
+				default:
+					c.Aborted++
+				}
+				c.Retries += out.Retries
+				c.Regens += out.Regens
+				c.FaultLoss += out.Result.FaultLoss()
+				c.WetSeconds += out.Result.WetSeconds
+			}
+			cells = append(cells, c)
+		}
+	}
+	return cells, nil
+}
+
+// Robustness renders the fault sweep (E10): how often execution
+// completes (cleanly or degraded), how much repair it took, and what
+// the faults cost in fluid and time.
 func Robustness(seeds int) *Table {
 	if seeds <= 0 {
 		seeds = 5
 	}
-	cas, err := robustnessAssays()
+	cells, err := RobustnessOutcomes(seeds)
 	if err != nil {
 		panic(err)
 	}
+	return robustnessTable(seeds, cells)
+}
+
+// robustnessTable renders E10's cells, averaged over seeds.
+func robustnessTable(seeds int, cells []RobustnessCell) *Table {
 	t := &Table{
 		ID:    "E10/Robust",
 		Title: fmt.Sprintf("fault injection + recovery, %d seeds per cell", seeds),
 		Header: []string{"assay", "profile", "completed", "degraded", "aborted",
 			"retries", "regens", "fault loss", "wet time"},
 	}
-	for _, ca := range cas {
-		for _, pname := range faults.Presets() {
-			p, _ := faults.Preset(pname)
-			var completed, degraded, aborted int
-			var retries, regens, loss, wet float64
-			for s := 0; s < seeds; s++ {
-				out, _, err := ca.runRecovered(p, int64(1000*s+7), recovery.Options{})
-				if err != nil {
-					panic(err)
-				}
-				switch out.Status {
-				case recovery.Completed:
-					completed++
-				case recovery.CompletedDegraded:
-					degraded++
-				default:
-					aborted++
-				}
-				retries += float64(out.Retries)
-				regens += float64(out.Regens)
-				loss += out.Result.FaultLoss()
-				wet += out.Result.WetSeconds
-			}
-			n := float64(seeds)
-			t.Rows = append(t.Rows, []string{
-				ca.name, pname,
-				fmt.Sprintf("%d/%d", completed, seeds),
-				fmt.Sprintf("%d/%d", degraded, seeds),
-				fmt.Sprintf("%d/%d", aborted, seeds),
-				fmt.Sprintf("%.1f", retries/n),
-				fmt.Sprintf("%.1f", regens/n),
-				fmtVol(loss / n),
-				fmt.Sprintf("%.0f s", wet/n),
-			})
-		}
+	n := float64(seeds)
+	for _, c := range cells {
+		t.Rows = append(t.Rows, []string{
+			c.Assay, c.Profile,
+			fmt.Sprintf("%d/%d", c.Completed, seeds),
+			fmt.Sprintf("%d/%d", c.Degraded, seeds),
+			fmt.Sprintf("%d/%d", c.Aborted, seeds),
+			fmt.Sprintf("%.1f", float64(c.Retries)/n),
+			fmt.Sprintf("%.1f", float64(c.Regens)/n),
+			fmtVol(c.FaultLoss / n),
+			fmt.Sprintf("%.0f s", c.WetSeconds/n),
+		})
 	}
 	t.Notes = append(t.Notes,
 		"recovery: bounded in-place retries + backward-slice regeneration (internal/recover)",
@@ -187,12 +214,17 @@ func MarginSweepOutcomes() ([]MarginOutcome, error) {
 	return out, nil
 }
 
-// MarginSweep renders MarginSweepOutcomes as a table.
+// MarginSweep renders MarginSweepOutcomes as a table (E11).
 func MarginSweep() *Table {
 	outs, err := MarginSweepOutcomes()
 	if err != nil {
 		panic(err)
 	}
+	return marginSweepTable(outs)
+}
+
+// marginSweepTable renders E11's cells.
+func marginSweepTable(outs []MarginOutcome) *Table {
 	t := &Table{
 		ID:     "E11/Margin",
 		Title:  "safety-margin sweep, glucose, deterministic loss-only faults, recovery off",

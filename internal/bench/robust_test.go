@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"aquavol/internal/faults"
+	"aquavol/internal/golden"
 	recovery "aquavol/internal/recover"
 )
 
@@ -76,6 +77,27 @@ func TestMarginSweepDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Error("margin sweep differs between runs")
 	}
+}
+
+// The E10 table at volbench's default five seeds per cell is pinned:
+// every completion count, repair average, fault loss and wet time.
+func TestRobustnessGolden(t *testing.T) {
+	const seeds = 5
+	cells, err := RobustnessOutcomes(seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden.Check(t, "testdata/golden/robustness.golden", robustnessTable(seeds, cells).String())
+}
+
+// The E11 table is pinned: each margin's status, ran-out count and
+// fault loss.
+func TestMarginSweepGolden(t *testing.T) {
+	outs, err := MarginSweepOutcomes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden.Check(t, "testdata/golden/margin-sweep.golden", marginSweepTable(outs).String())
 }
 
 // Table smoke: the robustness table has one row per assay × profile.

@@ -2,7 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"aquavol/internal/assays"
@@ -45,41 +45,48 @@ const (
 // measure runs one solve repeatedly and summarizes its latency
 // distribution.
 func measure(assay, solver string, run func() error) (SolverStat, error) {
+	sorted, total, err := sample(run, solverMinSamples, solverMaxSamples, solverBudget)
+	if err != nil {
+		return SolverStat{}, fmt.Errorf("%s/%s: %w", assay, solver, err)
+	}
+	micros := func(q float64) float64 { return float64(percentile(sorted, q).Nanoseconds()) / 1000 }
+	return SolverStat{
+		Assay:       assay,
+		Solver:      solver,
+		Samples:     len(sorted),
+		PlansPerSec: float64(len(sorted)) / total.Seconds(),
+		P50Micros:   micros(0.50),
+		P99Micros:   micros(0.99),
+	}, nil
+}
+
+// sample is the package's one latency sampler: it times run repeatedly
+// until budget wall time is spent with at least minN samples, or maxN
+// samples are in, and returns them sorted ascending with their total.
+func sample(run func() error, minN, maxN int, budget time.Duration) ([]time.Duration, time.Duration, error) {
 	var samples []time.Duration
-	total := time.Duration(0)
-	for len(samples) < solverMaxSamples {
+	var total time.Duration
+	for len(samples) < maxN {
 		start := time.Now() //fluidvet:allow determinism wall-clock timing is the benchmark's measurement, reported not replayed
 		err := run()
 		d := time.Since(start) //fluidvet:allow determinism wall-clock timing is the benchmark's measurement, reported not replayed
 		if err != nil {
-			return SolverStat{}, fmt.Errorf("%s/%s: %w", assay, solver, err)
+			return nil, 0, err
 		}
 		samples = append(samples, d)
 		total += d
-		if total >= solverBudget && len(samples) >= solverMinSamples {
+		if total >= budget && len(samples) >= minN {
 			break
 		}
 	}
-	sorted := append([]time.Duration(nil), samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	pct := func(q float64) float64 {
-		idx := int(q*float64(len(sorted))+0.5) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(sorted) {
-			idx = len(sorted) - 1
-		}
-		return float64(sorted[idx].Nanoseconds()) / 1000
-	}
-	return SolverStat{
-		Assay:       assay,
-		Solver:      solver,
-		Samples:     len(samples),
-		PlansPerSec: float64(len(samples)) / total.Seconds(),
-		P50Micros:   pct(0.50),
-		P99Micros:   pct(0.99),
-	}, nil
+	slices.Sort(samples)
+	return samples, total, nil
+}
+
+// percentile returns the nearest-rank q-quantile of ascending samples.
+func percentile(sorted []time.Duration, q float64) time.Duration {
+	idx := int(q*float64(len(sorted))+0.5) - 1
+	return sorted[min(max(idx, 0), len(sorted)-1)]
 }
 
 // SolverBaseline measures every (assay, solver) cell of the baseline

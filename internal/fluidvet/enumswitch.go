@@ -10,16 +10,15 @@ import (
 )
 
 // EnumSwitch enforces exhaustiveness for the enums whose variants gate
-// replay and repair behavior: recovery's RepairKind, the journal's
-// record Kind, and aquacore's EventKind. A switch over one of these
-// with neither full coverage nor an explicit default is how a newly
-// added kind silently falls through resume, repair selection, or event
-// accounting — the compiler accepts it and no test fails until a run
-// actually emits the new kind. An explicit default documents that the
-// fall-through is intended.
+// replay and repair behavior: the journal's record Kind and aquacore's
+// EventKind. A switch over one of these with neither full coverage nor
+// an explicit default is how a newly added kind silently falls through
+// resume, incident classification, or event accounting — the compiler
+// accepts it and no test fails until a run actually emits the new kind.
+// An explicit default documents that the fall-through is intended.
 var EnumSwitch = &Analyzer{
 	Name: "enumswitch",
-	Doc:  "switches over RepairKind, journal record kinds, and aquacore event kinds must be exhaustive or carry an explicit default",
+	Doc:  "switches over journal record kinds and aquacore event kinds must be exhaustive or carry an explicit default",
 	Run:  runEnumSwitch,
 }
 
@@ -30,7 +29,7 @@ var EnumSwitch = &Analyzer{
 func guardedEnum(named *types.Named) bool {
 	obj := named.Obj()
 	switch obj.Name() {
-	case "RepairKind", "EventKind":
+	case "EventKind":
 		return true
 	case "Kind":
 		return obj.Pkg() != nil && obj.Pkg().Name() == "journal"

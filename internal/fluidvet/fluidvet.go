@@ -18,10 +18,10 @@
 //   - durability: the write-ahead journal's guarantees are only as good
 //     as its fsync/Close/CRC discipline; discarding one of those results
 //     turns "durable" into "probably".
-//   - exhaustiveness: switches over RepairKind, journal record kinds,
-//     and machine event kinds must handle every variant (or carry an
-//     explicit default), so adding a kind cannot silently fall through
-//     replay or repair logic.
+//   - exhaustiveness: switches over journal record kinds and machine
+//     event kinds must handle every variant (or carry an explicit
+//     default), so adding a kind cannot silently fall through replay or
+//     repair logic.
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // Diagnostic) but is implemented on the standard library alone, because

@@ -1,23 +1,15 @@
 // Package enumswitch is a fluidvet fixture for the exhaustiveness
-// rules over RepairKind and EventKind (guarded by type name, so the
-// fixture's structurally identical enums exercise the real scoping).
+// rules over EventKind (guarded by type name, so the fixture's
+// structurally identical enum exercises the real scoping).
 package enumswitch
-
-// RepairKind mirrors the recovery repair ladder.
-type RepairKind int
-
-const (
-	RepairRetry RepairKind = iota
-	RepairRescale
-	RepairAbort
-)
 
 // EventKind mirrors the aquacore event taxonomy.
 type EventKind int
 
 const (
-	EventBegin EventKind = iota
-	EventEnd
+	EventRetry EventKind = iota
+	EventRegen
+	EventRanOut
 )
 
 // Other is not a guarded enum: never flagged.
@@ -28,51 +20,51 @@ const (
 	OtherB
 )
 
-// Full covers every repair kind: fine.
-func Full(k RepairKind) int {
+// Full covers every event kind: fine.
+func Full(k EventKind) int {
 	switch k {
-	case RepairRetry:
+	case EventRetry:
 		return 1
-	case RepairRescale:
+	case EventRegen:
 		return 2
-	case RepairAbort:
+	case EventRanOut:
 		return 3
 	}
 	return 0
 }
 
-// Partial drops the abort arm.
-func Partial(k RepairKind) int {
-	switch k { // want `enumswitch: switch over RepairKind is not exhaustive: missing RepairAbort`
-	case RepairRetry:
+// Partial drops the ran-out arm.
+func Partial(k EventKind) int {
+	switch k { // want `enumswitch: switch over EventKind is not exhaustive: missing EventRanOut`
+	case EventRetry:
 		return 1
-	case RepairRescale:
+	case EventRegen:
 		return 2
 	}
 	return 0
 }
 
 // Defaulted documents the fall-through: fine.
-func Defaulted(k RepairKind) int {
+func Defaulted(k EventKind) int {
 	switch k {
-	case RepairRetry:
+	case EventRetry:
 		return 1
 	default:
 		return 0
 	}
 }
 
-// Events misses EventEnd.
+// Events misses two kinds, listed in sorted order.
 func Events(k EventKind) bool {
-	switch k { // want `enumswitch: switch over EventKind is not exhaustive: missing EventEnd`
-	case EventBegin:
+	switch k { // want `enumswitch: switch over EventKind is not exhaustive: missing EventRanOut, EventRegen`
+	case EventRetry:
 		return true
 	}
 	return false
 }
 
 // NonConstant cases defeat static coverage: the analyzer stands down.
-func NonConstant(k, other RepairKind) bool {
+func NonConstant(k, other EventKind) bool {
 	switch k {
 	case other:
 		return true

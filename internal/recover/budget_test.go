@@ -72,28 +72,6 @@ func TestCancelAtInstructionBoundary(t *testing.T) {
 	}
 }
 
-// The total-backoff cap is deterministic and viable-checked: retries
-// whose wait would push accumulated backoff past MaxBackoffSeconds are
-// not taken, so total simulated backoff never exceeds the cap.
-func TestMaxBackoffSecondsCapsTotalBackoff(t *testing.T) {
-	ep, plan, cg := compileGlucose(t)
-	m := newMachine(ep, plan, faults.Profile{FailRate: 0.5}, 11, nil)
-	const cap = 3.0
-	out := recovery.Run(m, cg.Prog, &recovery.Compiled{Graph: ep.Graph, Clusters: cg.Clusters, VesselOf: cg.VesselOf},
-		recovery.Options{MaxBackoffSeconds: cap})
-	if out.Status == recovery.Aborted {
-		t.Fatalf("aborted: %v", out.Err)
-	}
-	if out.BackoffSeconds > cap {
-		t.Fatalf("total backoff %.3gs exceeds cap %.3gs", out.BackoffSeconds, cap)
-	}
-	// The cap must have bound something at FailRate 0.5, else the test
-	// is vacuous: either retries stopped short or incidents were taken.
-	if out.Retries == 0 && len(out.Incidents) == 0 {
-		t.Fatal("FailRate 0.5 produced neither retries nor incidents; fixture broken")
-	}
-}
-
 // A budget-cancelled journaled run fail-stops like a crash: no outcome
 // record, so the journal remains resumable. (The full resume round-trip
 // is exercised by bench E15 and ci.sh; here we pin the record shape.)

@@ -230,12 +230,15 @@ func TestDegradedRunUnderHarshFaults(t *testing.T) {
 	ep, plan, cg := compileGlucose(t)
 	profile := faults.Profile{FailRate: 1} // every attempt fails
 	m := newMachine(ep, plan, profile, 7, nil)
-	out := recovery.Run(m, cg.Prog, &recovery.Compiled{Graph: ep.Graph, Clusters: cg.Clusters, VesselOf: cg.VesselOf}, recovery.Options{RetriesPerInstr: 2, TotalRetries: 8})
+	out := recovery.Run(m, cg.Prog, &recovery.Compiled{Graph: ep.Graph, Clusters: cg.Clusters, VesselOf: cg.VesselOf}, recovery.Options{RetriesPerInstr: 2})
 	if out.Status != recovery.CompletedDegraded {
 		t.Fatalf("status %s, want completed-degraded", out.Status)
 	}
 	if len(out.Incidents) == 0 {
 		t.Fatal("degraded run must record incidents")
+	}
+	if out.Retries > recovery.TotalRetries {
+		t.Errorf("retries = %d exceed the run-wide budget %d", out.Retries, recovery.TotalRetries)
 	}
 	for _, inc := range out.Incidents {
 		if inc.Event.Kind == aquacore.EventFUFailure && !errors.Is(inc.Err(), aquacore.ErrFUUnavailable) {

@@ -22,9 +22,10 @@
 //     reports degradation, with the causal event chain preserved in the
 //     machine's event log.
 //
-// Which repair runs is decided by a small policy engine (policy.go): each
-// applicable strategy becomes a Candidate priced in reagent-equivalent
-// nanoliters by a CostModel, and the cheapest viable one is applied.
+// Repairs run in one fixed order, cheapest first. A stalled transfer is
+// rescaled (at most once per stall), then regenerated while the round
+// and run budgets allow, and otherwise degrades; a transient failure is
+// retried while its budgets allow, and otherwise becomes an incident.
 //
 // The package name is recovery (the directory is internal/recover; the
 // package cannot be named after the builtin without shadowing it in every
@@ -86,29 +87,30 @@ func (s Status) String() string {
 	}
 }
 
-// Options bounds the repair budgets. The zero value selects the defaults
-// noted on each field.
+// Run-wide repair budgets.
+const (
+	// totalRetries bounds re-attempts across the whole run.
+	totalRetries = 64
+	// maxRegens bounds backward-slice re-executions across the run.
+	maxRegens = 32
+	// maxRegenRounds bounds consecutive regeneration attempts for one
+	// stalled transfer; a shortfall that survives that many slice
+	// re-executions is structural, not transient.
+	maxRegenRounds = 4
+	// maxReplans bounds residual re-solves across the run.
+	maxReplans = 8
+	// backoffSeconds is the simulated idle before the first retry of an
+	// instruction; attempt k waits k×backoffSeconds. With at most
+	// totalRetries retries, a run idles at most 1+2+…+64 = 2,080 s.
+	backoffSeconds = 1.0
+)
+
+// Options selects which repairs may run. The zero value selects the
+// defaults noted on each field.
 type Options struct {
 	// RetriesPerInstr bounds re-attempts of a single failed instruction
 	// (default 3).
 	RetriesPerInstr int
-	// TotalRetries bounds re-attempts across the whole run (default 64).
-	TotalRetries int
-	// MaxRegens bounds backward-slice re-executions across the run
-	// (default 32).
-	MaxRegens int
-	// MaxRegenRounds bounds consecutive regeneration attempts for one
-	// stalled transfer (default 4); a shortfall that survives that many
-	// slice re-executions is structural, not transient.
-	MaxRegenRounds int
-	// BackoffSeconds is the simulated idle before the first retry of an
-	// instruction; attempt k waits k×BackoffSeconds (default 1).
-	BackoffSeconds float64
-	// MaxBackoffSeconds caps the TOTAL simulated backoff across the run
-	// (default 4096): a retry whose wait would push the accumulated
-	// backoff past the cap is not viable, so the run degrades instead of
-	// idling unboundedly. Simulated time makes the cap deterministic.
-	MaxBackoffSeconds float64
 	// Budget, when non-nil, is polled at every instruction boundary and
 	// between retry-backoff idles: a tripped meter fail-stops the run
 	// exactly like a crash — Aborted outcome, typed cause in Outcome.Err,
@@ -129,16 +131,11 @@ type Options struct {
 	// replanning changes downstream volumes, which existing plans may
 	// not want.
 	EnableReplan bool
-	// MaxReplans bounds residual re-solves across the run (default 8).
-	MaxReplans int
 	// NoCertify skips the independent certification of every residual
 	// replan (internal/certify). On by default as defense-in-depth: a
-	// re-solved plan that fails certification counts as a failed repair
-	// and the policy engine falls back to the next-cheapest candidate.
+	// re-solved plan that fails certification counts as a failed
+	// rescale, and the stall falls through to regeneration.
 	NoCertify bool
-	// Cost scores candidate repairs when several apply; the zero value
-	// selects the CostModel defaults.
-	Cost CostModel
 	// Journal, when non-nil, receives the durable-execution record
 	// stream: planned transfers, repair actions, one step record per
 	// instruction boundary, and periodic full snapshots. A journal append
@@ -159,25 +156,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.RetriesPerInstr == 0 {
 		o.RetriesPerInstr = 3
-	}
-	if o.TotalRetries == 0 {
-		o.TotalRetries = 64
-	}
-	if o.MaxRegens == 0 {
-		o.MaxRegens = 32
-	}
-	if o.MaxRegenRounds == 0 {
-		o.MaxRegenRounds = 4
-	}
-	if o.MaxReplans == 0 {
-		o.MaxReplans = 8
-	}
-	o.Cost = o.Cost.withDefaults()
-	if o.BackoffSeconds == 0 {
-		o.BackoffSeconds = 1
-	}
-	if o.MaxBackoffSeconds == 0 {
-		o.MaxBackoffSeconds = 4096
 	}
 	if o.SnapshotEvery <= 0 {
 		o.SnapshotEvery = 8
@@ -411,10 +389,9 @@ func run(m *aquacore.Machine, prog *ais.Program, c *Compiled,
 		}
 
 		// Pre-transfer shortfall check: repair the depleted source before
-		// the draw would trip EventRanOut. Each pass over a still-stalled
-		// transfer asks the policy engine for the cheapest viable repair:
-		// a rescale (re-solve the residual DAG, consuming no fluid), a
-		// regeneration round (fresh reagent + replay time), or degrading.
+		// the draw would trip EventRanOut. While the transfer stays
+		// stalled, rescale it (re-solve the residual DAG, consuming no
+		// fluid), else regenerate its source, else let it degrade.
 		if (canRegen || canReplan) && in.Edge >= 0 && in.Edge < len(c.Graph.Edges()) {
 			if src, need, ok := m.PlannedTransfer(pc, in); ok {
 				need *= 1 + jitterPad
@@ -432,59 +409,34 @@ func run(m *aquacore.Machine, prog *ais.Program, c *Compiled,
 				// attempt per stall: a successful one fits the remainder to
 				// the live volume by construction, and a failed one will
 				// fail the same way again.
-				rounds, rescaled, rescaleFailed := 0, false, false
-			repair:
+				rounds, triedRescale := 0, false
 				for need > m.VesselVolume(src)+volTol {
-					have := m.VesselVolume(src)
-					var cands []Candidate
-					if canReplan && !rescaled && !rescaleFailed &&
-						out.Replans < opt.MaxReplans && replanViable(prog, c.Clusters, pc) {
-						cands = append(cands, Candidate{
-							Kind: RepairRescale, Viable: true,
-							Why: "re-solve residual DAG around live volumes",
-						})
-					}
-					if canRegen && rounds < opt.MaxRegenRounds && out.Regens < opt.MaxRegens {
-						reagent, secs := regenEstimate(m, prog, c, in.Edge)
-						cands = append(cands, Candidate{
-							Kind: RepairRegen, Reagent: reagent, Seconds: secs, Viable: true,
-							Why: "re-execute producer backward slice",
-						})
-					}
-					cands = append(cands, Candidate{
-						Kind: RepairDegrade, Viable: true, Why: "let the draw run short",
-					})
-					choice, _ := opt.Cost.Choose(cands...)
-					switch choice.Kind {
-					case RepairRescale:
-						ok, err := applyReplan(m, prog, c, pc, boundary, src, need, have, jitterPad, opt.NoCertify, jw, out)
+					if canReplan && !triedRescale && out.Replans < maxReplans && replanViable(prog, c.Clusters, pc) {
+						triedRescale = true
+						ok, err := applyReplan(m, prog, c, pc, boundary, src, need, m.VesselVolume(src), jitterPad, opt.NoCertify, jw, out)
 						if err != nil {
 							return abort(err)
 						}
-						if !ok {
-							rescaleFailed = true
-							continue
-						}
-						rescaled = true
 						// The stalled draw itself was rescaled: re-read it.
-						if _, patched, ok := m.PlannedTransfer(pc, in); ok {
+						if _, patched, has := m.PlannedTransfer(pc, in); ok && has {
 							need = patched * (1 + jitterPad)
 						}
-					case RepairRegen:
-						if err := regenerate(m, prog, c.Graph, c.Clusters, in.Edge, src, pc, out); err != nil {
+						continue
+					}
+					if !canRegen || rounds >= maxRegenRounds || out.Regens >= maxRegens {
+						break
+					}
+					if err := regenerate(m, prog, c.Graph, c.Clusters, in.Edge, src, pc, out); err != nil {
+						return abort(err)
+					}
+					rounds++
+					if jw != nil {
+						if err := jw.Append(&journal.Record{Kind: journal.KindRecovery, Recovery: &journal.RecoveryAction{
+							Action: "regen", Boundary: boundary, PC: pc, Attempt: rounds,
+							Detail: fmt.Sprintf("refill %s toward %.4g nl", src, need),
+						}}); err != nil {
 							return abort(err)
 						}
-						rounds++
-						if jw != nil {
-							if err := jw.Append(&journal.Record{Kind: journal.KindRecovery, Recovery: &journal.RecoveryAction{
-								Action: "regen", Boundary: boundary, PC: pc, Attempt: rounds,
-								Detail: fmt.Sprintf("refill %s toward %.4g nl", src, need),
-							}}); err != nil {
-								return abort(err)
-							}
-						}
-					default:
-						break repair
 					}
 				}
 			}
@@ -504,20 +456,11 @@ func run(m *aquacore.Machine, prog *ais.Program, c *Compiled,
 			if err := opt.Budget.Err(); err != nil {
 				return abort(err)
 			}
-			wait := float64(attempts+1) * opt.BackoffSeconds
-			choice, _ := opt.Cost.Choose(
-				Candidate{
-					Kind: RepairRetry, Seconds: wait,
-					Viable: !opt.DisableRetry && attempts < opt.RetriesPerInstr && out.Retries < opt.TotalRetries &&
-						out.BackoffSeconds+wait <= opt.MaxBackoffSeconds,
-					Why: "re-execute the failed instruction after backoff",
-				},
-				Candidate{Kind: RepairDegrade, Viable: true, Why: "record the failure as an incident"},
-			)
-			if choice.Kind != RepairRetry {
+			if opt.DisableRetry || attempts >= opt.RetriesPerInstr || out.Retries >= totalRetries {
 				out.Incidents = append(out.Incidents, Incident{Event: *fail, Retries: attempts})
 				break
 			}
+			wait := float64(attempts+1) * backoffSeconds
 			attempts++
 			out.Retries++
 			m.Idle(wait)

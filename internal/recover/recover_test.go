@@ -195,16 +195,23 @@ func TestDegradedWhenRetryDisabled(t *testing.T) {
 }
 
 // Retry budgets cap repair effort: with an always-failing unit the run
-// degrades instead of retrying forever.
+// degrades instead of retrying forever. Four retries for each of
+// glucose's 20 wet instructions would exceed the run-wide budget, so
+// both bounds bind.
 func TestRetryBudgetBounds(t *testing.T) {
 	ep, plan, cg := compileGlucose(t)
 	m := newMachine(ep, plan, faults.Profile{FailRate: 1}, 0, nil)
 	out := recovery.Run(m, cg.Prog, &recovery.Compiled{Graph: ep.Graph, Clusters: cg.Clusters, VesselOf: cg.VesselOf},
-		recovery.Options{RetriesPerInstr: 2, TotalRetries: 5, DisableRegen: true})
+		recovery.Options{RetriesPerInstr: 4, DisableRegen: true})
 	if out.Status != recovery.CompletedDegraded {
 		t.Fatalf("status = %v, want completed-degraded (%s)", out.Status, out.Summary())
 	}
-	if out.Retries > 5 {
-		t.Errorf("retries = %d exceeds total budget 5", out.Retries)
+	if out.Retries != recovery.TotalRetries {
+		t.Errorf("retries = %d, want exactly the run-wide budget %d", out.Retries, recovery.TotalRetries)
+	}
+	for _, inc := range out.Incidents {
+		if inc.Retries > 4 {
+			t.Errorf("incident %v spent %d retries, over the per-instruction budget 4", inc.Event, inc.Retries)
+		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"aquavol/internal/core"
 	"aquavol/internal/dag"
 	"aquavol/internal/journal"
-	"aquavol/internal/regen"
 )
 
 // replanViable reports whether the stalled transfer at pc can be
@@ -32,31 +31,6 @@ func replanViable(prog *ais.Program, clusters map[int][2]int, pc int) bool {
 		return true
 	}
 	return false
-}
-
-// regenEstimate prices one regeneration round for the policy engine:
-// the fresh reagent the backward slice's input loads would draw, and
-// the simulated time its wet instructions would spend.
-func regenEstimate(m *aquacore.Machine, prog *ais.Program, c *Compiled, edge int) (reagent, seconds float64) {
-	producer := c.Graph.Edges()[edge].From
-	for _, n := range regen.BackwardSlice(c.Graph, producer) {
-		cl, ok := c.Clusters[n.ID()]
-		if !ok {
-			continue
-		}
-		for p := cl[0]; p < cl[1]; p++ {
-			in := prog.Instrs[p]
-			if in.Op == ais.Input {
-				if v, ok := m.PlannedLoad(p, in); ok {
-					reagent += v
-				}
-			}
-			if in.Op.IsWet() {
-				seconds += m.MoveSecondsPer()
-			}
-		}
-	}
-	return reagent, seconds
 }
 
 // applyReplan performs the rescale repair for the stalled transfer at

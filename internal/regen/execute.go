@@ -28,13 +28,19 @@ func (s Strategy) String() string {
 	return "lazy"
 }
 
+// unknownYield is the production fraction assumed for unknown-volume
+// nodes.
+const unknownYield = 0.4
+
+// maxDepth bounds the regeneration cascade's recursion; a deeper
+// cascade (pathological OutFrac chains) is cut off and reported as
+// Truncated.
+const maxDepth = 64
+
 // ExecOptions tunes Execute.
 type ExecOptions struct {
 	// Strategy selects lazy or eager-slice regeneration.
 	Strategy Strategy
-	// UnknownYield is the assumed production fraction of unknown-volume
-	// nodes. 0 selects 0.4.
-	UnknownYield float64
 	// OpSeconds estimates the fluidic time per wet operation, for the
 	// overhead report. 0 selects 10 s (mix/incubate scale).
 	OpSeconds float64
@@ -43,9 +49,6 @@ type ExecOptions struct {
 }
 
 func (o ExecOptions) withDefaults() ExecOptions {
-	if o.UnknownYield == 0 {
-		o.UnknownYield = 0.4
-	}
 	if o.OpSeconds == 0 {
 		o.OpSeconds = 10
 	}
@@ -71,6 +74,10 @@ type ExecReport struct {
 	OverheadFraction float64
 	// Completed is false if MaxRegens aborted the run.
 	Completed bool
+	// Truncated reports that the regeneration cascade exceeded the
+	// recursion-depth bound and the exact accounting was cut off:
+	// Triggers is then a lower bound, not an exact count.
+	Truncated bool
 	// PerFluid breaks triggers down by depleted fluid name.
 	PerFluid map[string]int
 }
@@ -96,7 +103,7 @@ func Execute(g *dag.Graph, cfg core.Config, opts ExecOptions) *ExecReport {
 		}
 		out := n.OutFrac
 		if n.Unknown {
-			out = opt.UnknownYield
+			out = unknownYield
 		}
 		return cfg.MaxCapacity * out * (1 - n.Discard)
 	}
@@ -115,7 +122,7 @@ func Execute(g *dag.Graph, cfg core.Config, opts ExecOptions) *ExecReport {
 		}
 		avail[p] = math.Min(avail[p]+production(p), cfg.MaxCapacity)
 	}
-	regenerate := func(p *dag.Node, need float64, depth int) {
+	regenerate := func(p *dag.Node, depth int) {
 		rep.Triggers++
 		rep.PerFluid[p.Name]++
 		if rep.Triggers > opt.MaxRegens {
@@ -134,11 +141,15 @@ func Execute(g *dag.Graph, cfg core.Config, opts ExecOptions) *ExecReport {
 		}
 	}
 	draw = func(p *dag.Node, amt float64, depth int) {
-		if aborted || depth > 64 {
+		if aborted {
+			return
+		}
+		if depth > maxDepth {
+			rep.Truncated = true
 			return
 		}
 		for avail[p]+1e-9 < amt && !aborted {
-			regenerate(p, amt-avail[p], depth)
+			regenerate(p, depth)
 		}
 		avail[p] -= amt
 	}

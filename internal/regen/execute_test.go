@@ -4,20 +4,30 @@ import (
 	"testing"
 
 	"aquavol/internal/assays"
+	"aquavol/internal/dag"
 	"aquavol/internal/regen"
 )
 
-func TestExecuteLazyMatchesCountNaive(t *testing.T) {
-	g := assays.EnzymeDAG(4)
-	count := regen.CountNaive(g, cfg(), regen.Options{})
-	exec := regen.Execute(g, cfg(), regen.ExecOptions{Strategy: regen.Lazy})
-	if !exec.Completed {
-		t.Fatal("execution aborted")
-	}
-	// Lazy re-execution re-runs exactly one op per regeneration event.
-	if exec.ReExecutedOps != count.Regenerations {
-		t.Fatalf("lazy re-executed ops = %d, CountNaive regens = %d; should match",
-			exec.ReExecutedOps, count.Regenerations)
+// Lazy repair re-runs exactly one op per trigger, and its trigger
+// counts are the naive regeneration counts Table 2 and E9 report.
+func TestExecuteLazyCounts(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		g    *dag.Graph
+		want int
+	}{
+		{"glucose", assays.GlucoseDAG(), 5},
+		{"enzyme", assays.EnzymeDAG(4), 142},
+		{"enzyme10", assays.EnzymeDAG(10), 2076},
+	} {
+		rep := regen.Execute(c.g, cfg(), regen.ExecOptions{Strategy: regen.Lazy})
+		if !rep.Completed || rep.Truncated {
+			t.Fatalf("%s: completed=%v truncated=%v", c.name, rep.Completed, rep.Truncated)
+		}
+		if rep.Triggers != c.want || rep.ReExecutedOps != rep.Triggers {
+			t.Errorf("%s: %d triggers, %d re-executed ops; want %d of each",
+				c.name, rep.Triggers, rep.ReExecutedOps, c.want)
+		}
 	}
 }
 

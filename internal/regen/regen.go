@@ -6,7 +6,7 @@
 //
 // The paper's Table 2 reports how many regenerations this triggers
 // "assuming no volume management" (Glucose 2, Enzyme 85, Enzyme10 1313)
-// without specifying BioStream's naive consumption model. This package
+// without specifying BioStream's naive consumption model. Execute
 // documents its model precisely:
 //
 //   - every operation fills its functional unit to the machine maximum,
@@ -15,8 +15,8 @@
 //     capacity from its input port, and a depleted intermediate fluid is
 //     re-produced by re-executing its operation (recursively drawing its
 //     own operands, which can cascade further regenerations);
-//   - every such re-execution (reload or re-production) counts as one
-//     regeneration.
+//   - under the Lazy strategy every such re-execution (reload or
+//     re-production) is one trigger, the count Table 2 reports.
 //
 // Absolute counts therefore differ from the paper's by a small model
 // factor; the shape — near-zero for glucose, tens for enzyme, thousands
@@ -25,101 +25,16 @@
 package regen
 
 import (
-	"math"
-
 	"aquavol/internal/core"
 	"aquavol/internal/dag"
 )
 
-// Report summarizes a naive execution.
+// Report summarizes a planned execution.
 type Report struct {
-	// Regenerations counts re-executions (reloads + re-productions).
+	// Regenerations counts shortfalls the plan left.
 	Regenerations int
 	// PerFluid breaks the count down by the regenerated node's name.
 	PerFluid map[string]int
-	// TotalDrawn accumulates volume drawn per producer node name.
-	TotalDrawn map[string]float64
-	// Truncated reports that the regeneration cascade exceeded the
-	// recursion-depth bound (pathological OutFrac chains) and the exact
-	// accounting was cut off: Regenerations is then a lower bound, not an
-	// exact count.
-	Truncated bool
-}
-
-// Options tunes the naive model.
-type Options struct {
-	// UnknownYield is the production fraction assumed for unknown-volume
-	// nodes. 0 selects 0.4.
-	UnknownYield float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.UnknownYield == 0 {
-		o.UnknownYield = 0.4
-	}
-	return o
-}
-
-// CountNaive simulates executing g with no volume management and reports
-// the regenerations required. Consumers execute in deterministic
-// topological (program) order.
-func CountNaive(g *dag.Graph, cfg core.Config, opts Options) *Report {
-	opt := opts.withDefaults()
-	rep := &Report{PerFluid: map[string]int{}, TotalDrawn: map[string]float64{}}
-	avail := map[*dag.Node]float64{}
-	for _, n := range g.Nodes() {
-		if n != nil && n.Kind == dag.Input {
-			avail[n] = cfg.MaxCapacity // loaded once before execution
-		}
-	}
-	production := func(n *dag.Node) float64 {
-		if n.Kind == dag.Input || n.Kind == dag.ConstrainedInput {
-			return cfg.MaxCapacity
-		}
-		out := n.OutFrac
-		if n.Unknown {
-			out = opt.UnknownYield
-		}
-		return cfg.MaxCapacity * out * (1 - n.Discard)
-	}
-
-	var draw func(p *dag.Node, amt float64, depth int)
-	regenerate := func(p *dag.Node, depth int) {
-		rep.Regenerations++
-		rep.PerFluid[p.Name]++
-		if p.Kind == dag.Input || p.Kind == dag.ConstrainedInput {
-			avail[p] = cfg.MaxCapacity
-			return
-		}
-		for _, e := range p.In() {
-			draw(e.From, e.Frac*cfg.MaxCapacity, depth+1)
-		}
-		avail[p] = math.Min(avail[p]+production(p), cfg.MaxCapacity)
-	}
-	draw = func(p *dag.Node, amt float64, depth int) {
-		rep.TotalDrawn[p.Name] += amt
-		if depth > 64 {
-			// Pathological OutFrac chains: give up on exact accounting and
-			// say so, rather than silently under-counting.
-			rep.Truncated = true
-			return
-		}
-		for avail[p]+1e-9 < amt {
-			regenerate(p, depth)
-		}
-		avail[p] -= amt
-	}
-
-	for _, c := range scheduleOrder(g) {
-		if c.Kind == dag.Input || c.Kind == dag.ConstrainedInput {
-			continue
-		}
-		for _, e := range c.In() {
-			draw(e.From, e.Frac*cfg.MaxCapacity, 0)
-		}
-		avail[c] = production(c)
-	}
-	return rep
 }
 
 // CountPlanned replays consumption with the volumes of a feasible plan and
@@ -127,7 +42,7 @@ func CountNaive(g *dag.Graph, cfg core.Config, opts Options) *Report {
 // conservation; this function exists to demonstrate it).
 func CountPlanned(plan *core.Plan) *Report {
 	g := plan.Graph
-	rep := &Report{PerFluid: map[string]int{}, TotalDrawn: map[string]float64{}}
+	rep := &Report{PerFluid: map[string]int{}}
 	avail := map[*dag.Node]float64{}
 	for _, n := range g.Nodes() {
 		if n == nil {
@@ -143,7 +58,6 @@ func CountPlanned(plan *core.Plan) *Report {
 		}
 		for _, e := range c.In() {
 			need := plan.EdgeVolume[e.ID()]
-			rep.TotalDrawn[e.From.Name] += need
 			if avail[e.From]+1e-6 < need {
 				rep.Regenerations++
 				rep.PerFluid[e.From.Name]++
@@ -161,7 +75,7 @@ func CountPlanned(plan *core.Plan) *Report {
 // scheduleOrder is the deterministic execution order: topological,
 // breaking ties by node id (which matches front-end program order).
 // TopoOrder already breaks ties by smallest id; TestScheduleOrderIsTopo
-// asserts the properties this file relies on.
+// asserts the properties CountPlanned relies on.
 func scheduleOrder(g *dag.Graph) []*dag.Node {
 	return g.TopoOrder()
 }

@@ -26,30 +26,30 @@ func deepChain(length int) *dag.Graph {
 
 // A cascade deeper than the 64-level recursion bound must be reported as
 // truncated instead of silently under-counted.
-func TestCountNaiveTruncated(t *testing.T) {
-	rep := CountNaive(deepChain(80), core.DefaultConfig(), Options{})
+func TestExecuteTruncated(t *testing.T) {
+	rep := Execute(deepChain(80), core.DefaultConfig(), ExecOptions{})
 	if !rep.Truncated {
 		t.Fatalf("80-deep regeneration cascade must truncate; got %d regens, truncated=false",
-			rep.Regenerations)
+			rep.Triggers)
 	}
-	if rep.Regenerations == 0 {
+	if rep.Triggers == 0 {
 		t.Error("truncation still counts the regenerations it did perform")
 	}
 }
 
 // A shallow cascade stays exact.
-func TestCountNaiveNotTruncatedWhenShallow(t *testing.T) {
-	rep := CountNaive(deepChain(10), core.DefaultConfig(), Options{})
+func TestExecuteNotTruncatedWhenShallow(t *testing.T) {
+	rep := Execute(deepChain(10), core.DefaultConfig(), ExecOptions{})
 	if rep.Truncated {
 		t.Error("10-deep cascade must not hit the recursion bound")
 	}
-	if rep.Regenerations == 0 {
+	if rep.Triggers == 0 {
 		t.Error("second sink must trigger regenerations")
 	}
 }
 
 // scheduleOrder must be a valid topological order (the property
-// CountNaive/CountPlanned rely on) and deterministic across calls.
+// CountPlanned relies on) and deterministic across calls.
 func TestScheduleOrderIsTopo(t *testing.T) {
 	g := deepChain(20)
 	order := scheduleOrder(g)

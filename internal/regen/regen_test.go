@@ -15,38 +15,38 @@ func cfg() core.Config { return core.DefaultConfig() }
 // Enzyme10 thousands; the counts grow by more than an order of magnitude
 // at each step (paper: 2 → 85 → 1313).
 func TestNaiveCountsShape(t *testing.T) {
-	glucose := regen.CountNaive(assays.GlucoseDAG(), cfg(), regen.Options{})
-	enzyme := regen.CountNaive(assays.EnzymeDAG(4), cfg(), regen.Options{})
-	enzyme10 := regen.CountNaive(assays.EnzymeDAG(10), cfg(), regen.Options{})
+	glucose := regen.Execute(assays.GlucoseDAG(), cfg(), regen.ExecOptions{})
+	enzyme := regen.Execute(assays.EnzymeDAG(4), cfg(), regen.ExecOptions{})
+	enzyme10 := regen.Execute(assays.EnzymeDAG(10), cfg(), regen.ExecOptions{})
 	t.Logf("regenerations: glucose=%d enzyme=%d enzyme10=%d",
-		glucose.Regenerations, enzyme.Regenerations, enzyme10.Regenerations)
+		glucose.Triggers, enzyme.Triggers, enzyme10.Triggers)
 
-	if glucose.Regenerations < 1 || glucose.Regenerations > 10 {
-		t.Errorf("glucose regens = %d, want a handful (paper: 2)", glucose.Regenerations)
+	if glucose.Triggers < 1 || glucose.Triggers > 10 {
+		t.Errorf("glucose regens = %d, want a handful (paper: 2)", glucose.Triggers)
 	}
-	if enzyme.Regenerations < 10*glucose.Regenerations {
+	if enzyme.Triggers < 10*glucose.Triggers {
 		t.Errorf("enzyme regens = %d, want >> glucose's %d (paper: 85 vs 2)",
-			enzyme.Regenerations, glucose.Regenerations)
+			enzyme.Triggers, glucose.Triggers)
 	}
-	if enzyme10.Regenerations < 5*enzyme.Regenerations {
+	if enzyme10.Triggers < 5*enzyme.Triggers {
 		t.Errorf("enzyme10 regens = %d, want >> enzyme's %d (paper: 1313 vs 85)",
-			enzyme10.Regenerations, enzyme.Regenerations)
+			enzyme10.Triggers, enzyme.Triggers)
 	}
 }
 
 // The diluent and its dilutions dominate the enzyme assay's
 // regenerations, as the paper's analysis implies.
 func TestNaiveEnzymeBlame(t *testing.T) {
-	rep := regen.CountNaive(assays.EnzymeDAG(4), cfg(), regen.Options{})
+	rep := regen.Execute(assays.EnzymeDAG(4), cfg(), regen.ExecOptions{})
 	dilutionRegens := 0
 	for name, c := range rep.PerFluid {
 		if name == "diluent" || len(name) > 4 && name[3] == '_' { // xxx_dilN
 			dilutionRegens += c
 		}
 	}
-	if dilutionRegens < rep.Regenerations/2 {
+	if dilutionRegens < rep.Triggers/2 {
 		t.Errorf("diluent+dilutions account for %d of %d regens; expected the majority",
-			dilutionRegens, rep.Regenerations)
+			dilutionRegens, rep.Triggers)
 	}
 }
 
@@ -110,9 +110,9 @@ func TestBackwardSliceInput(t *testing.T) {
 
 // Determinism: the naive count is stable across runs.
 func TestNaiveDeterministic(t *testing.T) {
-	a := regen.CountNaive(assays.EnzymeDAG(4), cfg(), regen.Options{})
-	b := regen.CountNaive(assays.EnzymeDAG(4), cfg(), regen.Options{})
-	if a.Regenerations != b.Regenerations {
-		t.Fatalf("nondeterministic counts: %d vs %d", a.Regenerations, b.Regenerations)
+	a := regen.Execute(assays.EnzymeDAG(4), cfg(), regen.ExecOptions{})
+	b := regen.Execute(assays.EnzymeDAG(4), cfg(), regen.ExecOptions{})
+	if a.Triggers != b.Triggers {
+		t.Fatalf("nondeterministic counts: %d vs %d", a.Triggers, b.Triggers)
 	}
 }
