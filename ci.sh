@@ -52,6 +52,21 @@ echo "== timing gates =="
 # gate time an uninstrumented build, so both skip under -race above.
 go test -count=1 -run 'TestScalingLinear|TestSolverThroughputNoRegressionVsRecorded' ./internal/bench
 
+echo "== journal bytes and encoder oracle =="
+# The journal golden pins the bytes of 384 fluidvm -replan journals
+# (uninterrupted and killed-then-resumed) and skips under -race above;
+# the encoder oracle tests hold the hand-written journal encoder to
+# json.Marshal's bytes and errors.
+go test -count=1 -run 'TestJournalGolden' ./internal/recover
+go test -count=1 -run 'TestEncoderMatchesMarshal|TestEncoderSnapshotSequence' ./internal/journal
+
+echo "== benchmark smoke =="
+# One iteration each, so the benchmarks keep compiling and running:
+# snapshot appends of a harsh-fault Enzyme n=3 journal, and whole
+# harsh-fault Enzyme n=3 runs on the machine.
+go test -run '^$' -bench 'BenchmarkAppendSnapshot' -benchtime=1x ./internal/journal
+go test -run '^$' -bench 'BenchmarkExecFaulty' -benchtime=1x ./internal/aquacore
+
 echo "== fuzz smoke (10s each) =="
 go test -fuzz=FuzzAssemble -fuzztime=10s ./internal/ais
 go test -fuzz=FuzzLint -fuzztime=10s ./internal/analysis

@@ -18,4 +18,10 @@ var (
 	//
 	//fluidvet:allow errwrap produced by internal/recover and cmd/fluidvm, which wrap it with %w when classifying incidents
 	ErrFUUnavailable = errors.New("aquacore: functional unit unavailable")
+	// ErrNoVolume is a planned transfer the volume source has no volume
+	// for: its partition's run-time solve failed, or still waits for a
+	// measurement that never arrived (a separation that failed and was
+	// not retried). The machine cannot execute the transfer, so the run
+	// aborts.
+	ErrNoVolume = errors.New("aquacore: no planned volume")
 )

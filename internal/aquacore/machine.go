@@ -264,48 +264,79 @@ func (r *Result) FaultLoss() float64 {
 	return total
 }
 
-// vessel is any fluid container: reservoir, functional unit, or unit
-// output port.
-type vessel struct {
-	vol  float64
-	comp map[string]float64
+// part is one fluid's share of a vessel's contents.
+type part struct {
+	fluid string
+	nl    float64
 }
 
-func (v *vessel) add(amount float64, comp map[string]float64) {
-	if v.comp == nil {
-		v.comp = map[string]float64{}
-	}
-	for k, c := range comp {
-		v.comp[k] += c
+// vessel is any fluid container: reservoir, functional unit, or unit
+// output port. Its composition is a short list of parts in the order
+// the fluids first arrived; a fluid keeps its part, at zero if drained,
+// until the vessel is cleared. Snapshots, the Sense callback and outputs
+// see the parts as a fluid-to-nl map.
+type vessel struct {
+	name  string
+	vol   float64
+	parts []part
+}
+
+// add pours amount nl of composition comp into v.
+func (v *vessel) add(amount float64, comp []part) {
+	for _, c := range comp {
+		i := v.find(c.fluid)
+		if i < 0 {
+			i = len(v.parts)
+			v.parts = append(v.parts, part{fluid: c.fluid})
+		}
+		v.parts[i].nl += c.nl
 	}
 	v.vol += amount
 }
 
-// draw removes amount, returning its proportional composition.
-func (v *vessel) draw(amount float64) map[string]float64 {
+// find returns the index of fluid's part, or -1.
+func (v *vessel) find(fluid string) int {
+	for i := range v.parts {
+		if v.parts[i].fluid == fluid {
+			return i
+		}
+	}
+	return -1
+}
+
+// draw removes amount, appending its proportional composition to drawn.
+func (v *vessel) draw(amount float64, drawn []part) []part {
 	if v.vol <= 0 {
-		return map[string]float64{}
+		return drawn
 	}
 	frac := amount / v.vol
 	if frac > 1 {
 		frac = 1
 	}
-	out := make(map[string]float64, len(v.comp))
-	for k, c := range v.comp {
-		take := c * frac
-		out[k] = take
-		v.comp[k] -= take
+	for i := range v.parts {
+		take := v.parts[i].nl * frac
+		drawn = append(drawn, part{fluid: v.parts[i].fluid, nl: take})
+		v.parts[i].nl -= take
 	}
 	v.vol -= amount
 	if v.vol < 1e-12 {
 		v.vol = 0
 	}
-	return out
+	return drawn
 }
 
 func (v *vessel) clear() {
 	v.vol = 0
-	v.comp = map[string]float64{}
+	v.parts = v.parts[:0]
+}
+
+// composition returns parts as a fluid-to-nl map (never nil).
+func composition(parts []part) map[string]float64 {
+	comp := make(map[string]float64, len(parts))
+	for _, p := range parts {
+		comp[p.fluid] = p.nl
+	}
+	return comp
 }
 
 // Machine executes AIS programs.
@@ -321,9 +352,14 @@ type Machine struct {
 	// must reproduce the patched plan bit-identically).
 	patches ais.VolumeTable
 	vessels map[string]*vessel
-	regs    map[string]float64
-	known   map[string]bool
-	res     *Result
+	// order holds the vessels in creation order, so per-vessel sweeps
+	// (evaporation) are a plain loop.
+	order []*vessel
+	// drawn is scratch for the composition a transfer draws.
+	drawn []part
+	regs  map[string]float64
+	known map[string]bool
+	res   *Result
 	// flt is cfg.Faults when enabled, nil otherwise: the single gate every
 	// fault hook checks, keeping the faults-off path bit-identical to the
 	// ideal machine.
@@ -380,8 +416,9 @@ func (m *Machine) SetDry(values map[string]float64) {
 func (m *Machine) vessel(name string) *vessel {
 	v, ok := m.vessels[name]
 	if !ok {
-		v = &vessel{comp: map[string]float64{}}
+		v = &vessel{name: name}
 		m.vessels[name] = v
+		m.order = append(m.order, v)
 	}
 	return v
 }
@@ -532,20 +569,19 @@ func (m *Machine) Finalize() *Result {
 // evaporate removes the injected evaporation fraction for dt seconds of
 // wet time from every vessel. Deterministic (no PRNG draw), and each
 // vessel's loss is computed from its own volume and recorded under its
-// own drift key, so iteration order cannot perturb machine state.
+// own drift key.
 func (m *Machine) evaporate(dt float64) {
 	frac := m.flt.EvapFraction(dt)
 	if frac <= 0 {
 		return
 	}
-	//fluidvet:allow determinism per-vessel independent update: loss depends only on the vessel and lands in drift[name]
-	for name, v := range m.vessels {
+	for _, v := range m.order {
 		if v.vol <= 0 {
 			continue
 		}
 		loss := v.vol * frac
-		v.draw(loss)
-		m.drift[name] += loss
+		m.drawn = v.draw(loss, m.drawn[:0])
+		m.drift[v.name] += loss
 	}
 }
 
@@ -778,7 +814,7 @@ func (m *Machine) step(pc int, in ais.Instr, prog *ais.Program, pcOut *int) (jum
 		}
 		dst := m.vessel(dstName)
 		dst.clear()
-		dst.add(vol, map[string]float64{name: vol})
+		dst.add(vol, []part{{fluid: name, nl: vol}})
 		m.res.InputNl += vol
 	case ais.Move, ais.MoveAbs:
 		wet(cfg.MoveSeconds)
@@ -799,10 +835,10 @@ func (m *Machine) step(pc int, in ais.Instr, prog *ais.Program, pcOut *int) (jum
 			return false, fmt.Errorf("aquacore: pc %d: edge-annotated move but no volume source or table", pc)
 		case in.Edge >= 0:
 			if errs := m.sourceSolveErrors(); len(errs) > 0 {
-				return false, fmt.Errorf("aquacore: pc %d: no volume for edge %d: runtime solve failed earlier: %w",
-					pc, in.Edge, errs[len(errs)-1])
+				return false, fmt.Errorf("%w: pc %d: edge %d: runtime solve failed earlier: %w",
+					ErrNoVolume, pc, in.Edge, errs[len(errs)-1])
 			}
-			return false, fmt.Errorf("aquacore: pc %d: no volume for edge %d (runtime plan not ready?)", pc, in.Edge)
+			return false, fmt.Errorf("%w: pc %d: edge %d %s", ErrNoVolume, pc, in.Edge, m.awaiting(in.Edge))
 		default:
 			vol = srcV.vol // whole-vessel transfer
 		}
@@ -820,18 +856,18 @@ func (m *Machine) step(pc int, in ais.Instr, prog *ais.Program, pcOut *int) (jum
 			}
 		}
 		vol = m.clampDraw(pc, in, srcName, srcV, vol)
-		comp := srcV.draw(vol)
+		m.drawn = srcV.draw(vol, m.drawn[:0])
 		delivered := vol
 		if m.flt != nil {
 			if dead := math.Min(m.flt.Dead(), delivered); dead > 0 {
-				scaleComp(comp, (delivered-dead)/delivered)
+				scaleComp(m.drawn, (delivered-dead)/delivered)
 				delivered -= dead
 				m.event(EventFaultLoss, pc, in, "dead volume: %.4g nl lost in the channel to %s", dead, dstName)
 			}
 			m.drift[dstName] += planned - delivered
 		}
 		dstV := m.vessel(dstName)
-		dstV.add(delivered, comp)
+		dstV.add(delivered, m.drawn)
 		if dstV.vol > cfg.Volume.MaxCapacity+1e-6 {
 			m.event(EventOverflow, pc, in, "%s at %.4g nl exceeds capacity %.4g nl", dstName, dstV.vol, cfg.Volume.MaxCapacity)
 		}
@@ -860,18 +896,18 @@ func (m *Machine) step(pc int, in ais.Instr, prog *ais.Program, pcOut *int) (jum
 			}
 		}
 		vol = m.clampDraw(pc, in, srcName, srcV, vol)
-		comp := srcV.draw(vol)
+		m.drawn = srcV.draw(vol, m.drawn[:0])
 		delivered := vol
 		if m.flt != nil {
 			if dead := math.Min(m.flt.Dead(), delivered); dead > 0 {
-				scaleComp(comp, (delivered-dead)/delivered)
+				scaleComp(m.drawn, (delivered-dead)/delivered)
 				delivered -= dead
 				m.event(EventFaultLoss, pc, in, "dead volume: %.4g nl lost in the channel to %s", dead, port)
 			}
 			m.drift[port] += planned - delivered
 		}
 		m.res.Outputs = append(m.res.Outputs, Output{
-			Port: port, Volume: delivered, Composition: comp,
+			Port: port, Volume: delivered, Composition: composition(m.drawn),
 		})
 	case ais.Mix:
 		wet(cfg.MoveSeconds + immOperand(in, 1))
@@ -900,7 +936,7 @@ func (m *Machine) step(pc int, in ais.Instr, prog *ais.Program, pcOut *int) (jum
 		name, _ := operandVessel(in.Operands[0])
 		v := m.vessel(name)
 		kept := v.vol * cfg.ConcentrateYield
-		v.draw(v.vol - kept)
+		m.drawn = v.draw(v.vol-kept, m.drawn[:0])
 		if in.Node >= 0 && m.src != nil {
 			m.measured(in.Node, dag.PortDefault, v.vol)
 			m.noteSolveErrors(pc, in)
@@ -927,10 +963,10 @@ func (m *Machine) step(pc int, in ais.Instr, prog *ais.Program, pcOut *int) (jum
 		waste.clear()
 		total := v.vol
 		effVol := total * cfg.SeparationYield
-		comp := v.draw(effVol)
-		eff.add(effVol, comp)
-		rest := v.draw(v.vol)
-		waste.add(total-effVol, rest)
+		m.drawn = v.draw(effVol, m.drawn[:0])
+		eff.add(effVol, m.drawn)
+		m.drawn = v.draw(v.vol, m.drawn[:0])
+		waste.add(total-effVol, m.drawn)
 		// Matrix/pusher vessels consumed.
 		m.vessel(unit + ".matrix").clear()
 		m.vessel(unit + ".pusher").clear()
@@ -946,7 +982,7 @@ func (m *Machine) step(pc int, in ais.Instr, prog *ais.Program, pcOut *int) (jum
 		v := m.vessel(unitName)
 		var reading float64
 		if cfg.Sense != nil {
-			reading = cfg.Sense(v.vol, v.comp, in.Op)
+			reading = cfg.Sense(v.vol, composition(v.parts), in.Op)
 		} else {
 			reading = v.vol
 		}
@@ -1048,10 +1084,35 @@ func b2f(b bool) float64 {
 }
 
 // scaleComp scales a drawn composition in place (dead-volume loss).
-func scaleComp(comp map[string]float64, f float64) {
-	for k := range comp {
-		comp[k] *= f
+func scaleComp(comp []part, f float64) {
+	for i := range comp {
+		comp[i].nl *= f
 	}
+}
+
+// awaiting says what the partition realizing edge still waits for: the
+// measurement of an unknown-volume node, when the source can name it
+// (StagedSource can).
+func (m *Machine) awaiting(edge int) string {
+	src, ok := m.src.(interface {
+		Awaiting(edgeID int) (node int, port string, ok bool)
+	})
+	if !ok {
+		return "(runtime plan not ready)"
+	}
+	node, port, ok := src.Awaiting(edge)
+	if !ok {
+		return "(runtime plan not ready)"
+	}
+	what := "measurement"
+	if port != dag.PortDefault {
+		what = port + " measurement"
+	}
+	name := ""
+	if m.g != nil && m.g.Node(node) != nil {
+		name = fmt.Sprintf(" (%s)", m.g.Node(node).Name)
+	}
+	return fmt.Sprintf("waits for the %s of unknown-volume node %d%s, which never arrived", what, node, name)
 }
 
 // sourceSolveErrors returns the volume source's recorded solve errors,
@@ -1067,9 +1128,9 @@ func (m *Machine) sourceSolveErrors() []error {
 // debugging.
 func (m *Machine) Vessels() []string {
 	var out []string
-	for name, v := range m.vessels {
+	for _, v := range m.order {
 		if v.vol > 1e-9 {
-			out = append(out, fmt.Sprintf("%s=%.3fnl", name, v.vol))
+			out = append(out, fmt.Sprintf("%s=%.3fnl", v.name, v.vol))
 		}
 	}
 	sort.Strings(out)

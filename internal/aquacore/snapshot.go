@@ -109,8 +109,8 @@ func (m *Machine) Snapshot() *Snapshot {
 		SolveErrsSeen: m.solveErrsSeen,
 		Patches:       m.Patches(),
 	}
-	for name, v := range m.vessels {
-		s.Vessels[name] = VesselState{Volume: v.vol, Composition: copyMap(v.comp)}
+	for _, v := range m.order {
+		s.Vessels[v.name] = VesselState{Volume: v.vol, Composition: composition(v.parts)}
 	}
 	s.Regs = copyMap(m.regs)
 	for name, known := range m.known {
@@ -236,13 +236,18 @@ func (m *Machine) Restore(s *Snapshot) error {
 	m.measLog = append([]Measurement(nil), s.Measurements...)
 	m.solveErrsSeen = s.SolveErrsSeen
 
+	// Vessels and their parts are rebuilt in sorted order: a map keeps
+	// no creation order, and none of the per-vessel or per-fluid
+	// arithmetic depends on it.
 	m.vessels = make(map[string]*vessel, len(s.Vessels))
-	for name, vs := range s.Vessels {
-		comp := copyMap(vs.Composition)
-		if comp == nil {
-			comp = map[string]float64{}
+	m.order = nil
+	for _, name := range sortedKeys(s.Vessels) {
+		vs := s.Vessels[name]
+		v := m.vessel(name)
+		v.vol = vs.Volume
+		for _, fluid := range sortedKeys(vs.Composition) {
+			v.parts = append(v.parts, part{fluid: fluid, nl: vs.Composition[fluid]})
 		}
-		m.vessels[name] = &vessel{vol: vs.Volume, comp: comp}
 	}
 	m.regs = copyMap(s.Regs)
 	if m.regs == nil {

@@ -156,6 +156,40 @@ func (s *StagedSource) NodeVolume(nodeID int) (float64, bool) {
 	return plan.NodeVolume[loc[1]], true
 }
 
+// Awaiting reports the unknown-volume node, and its port, whose
+// measurement the partition realizing edgeID still waits for, following
+// cut sources back to the partition that produces them. ok is false
+// when the edge's partition waits for no measurement.
+func (s *StagedSource) Awaiting(edgeID int) (node int, port string, ok bool) {
+	loc, ok := s.sp.Partition.EdgeOf[edgeID]
+	if !ok {
+		return 0, "", false
+	}
+	return s.awaitingPart(loc[0])
+}
+
+func (s *StagedSource) awaitingPart(part int) (node int, port string, ok bool) {
+	for _, b := range s.sp.Partition.Bindings {
+		if b.Part != part {
+			continue
+		}
+		switch {
+		case b.SourceUnknown:
+			if _, measured := s.measured[[2]any{b.SourceID, b.SourcePort}]; !measured {
+				return b.SourceID, b.SourcePort, true
+			}
+		case b.SourcePart >= 0 && b.SourcePart < part:
+			// Parts are in dependency order, so the walk back ends.
+			if _, produced := s.sp.Produced(b.SourceID); !produced {
+				if node, port, ok := s.awaitingPart(b.SourcePart); ok {
+					return node, port, true
+				}
+			}
+		}
+	}
+	return 0, "", false
+}
+
 // Measured implements VolumeSource: records the measurement and solves
 // every partition whose inputs have become available.
 func (s *StagedSource) Measured(nodeID int, port string, volume float64) {

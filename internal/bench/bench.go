@@ -66,12 +66,19 @@ func (t *Table) String() string {
 
 func cfg() core.Config { return core.DefaultConfig() }
 
+// timeItMinReps is the fewest timed repetitions timeIt takes. A 50 ms
+// budget alone gives a 5–10 ms solve (E6b's N=5 LP) only 5–10 samples,
+// whose median one slow stretch of a shared host can move; 21 keep the
+// median stable while costing a sub-millisecond case nothing extra.
+const timeItMinReps = 21
+
 // timeIt reports f's median wall time. One untimed call first pays f's
 // cold costs (first-use allocations such as an LP tableau); timed
-// repetitions then run until ~50 ms of samples are in.
+// repetitions then run until ~50 ms of samples and at least
+// timeItMinReps repetitions are in.
 func timeIt(f func()) time.Duration {
 	f()
-	sorted, _, _ := sample(func() error { f(); return nil }, 1, 10000, 50*time.Millisecond)
+	sorted, _, _ := sample(func() error { f(); return nil }, timeItMinReps, 10000, 50*time.Millisecond)
 	return percentile(sorted, 0.5)
 }
 

@@ -2,6 +2,8 @@ package journal_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"testing"
 
@@ -70,7 +72,9 @@ func FuzzDecode(f *testing.F) {
 		if err != nil && !errors.Is(err, journal.ErrTornWrite) && !errors.Is(err, journal.ErrCorrupt) {
 			t.Fatalf("non-sentinel error from decoder: %v", err)
 		}
-		// Whatever decoded must be internally valid enough to re-encode.
+		// Whatever decoded must be internally valid enough to re-encode,
+		// and re-encode to exactly json.Marshal's bytes: the writer's
+		// hand encoder is held to encoding/json on decoded input too.
 		var buf bytes.Buffer
 		jw, werr := journal.NewWriter(&buf)
 		if werr != nil {
@@ -80,6 +84,18 @@ func FuzzDecode(f *testing.F) {
 			if aerr := jw.Append(rec); aerr != nil {
 				t.Fatalf("decoded record does not re-encode: %v", aerr)
 			}
+		}
+		frames := buf.Bytes()[len("AQJRNL1\n"):]
+		for i, rec := range recs {
+			want, merr := json.Marshal(rec)
+			if merr != nil {
+				t.Fatalf("record %d: json.Marshal: %v", i, merr)
+			}
+			n := binary.LittleEndian.Uint32(frames)
+			if got := frames[8 : 8+n]; !bytes.Equal(got, want) {
+				t.Fatalf("record %d re-encodes differently from json.Marshal\n got: %s\nwant: %s", i, got, want)
+			}
+			frames = frames[8+n:]
 		}
 	})
 }

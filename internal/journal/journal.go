@@ -12,8 +12,19 @@
 //
 //	uint32 LE payload length | uint32 LE IEEE-CRC32(payload) | payload
 //
-// and the payload is the JSON encoding of a Record envelope. The frame
-// makes the two crash failure modes distinguishable on read-back:
+// and the payload is a Record envelope in exactly the bytes
+// encoding/json's json.Marshal produces for it. A hand encoder
+// (encode.go) writes those bytes without reflection, into a buffer the
+// Writer reuses, re-encoding only the events a snapshot adds to the
+// previous one's event log; json.Marshal is its test oracle and
+// encoding/json remains the decoder. A field added to any record type,
+// aquacore.Snapshot and the types it nests included, must be added to
+// the encoder in the same change: the reflection-driven property test
+// fills every exported field and fails until the bytes match
+// json.Marshal's again.
+//
+// The frame makes the two crash failure modes distinguishable on
+// read-back:
 //
 //   - a torn write — the process died mid-append, the file ends inside a
 //     frame — surfaces as ErrTornWrite;
@@ -94,25 +105,34 @@ type Record struct {
 // validate checks the envelope is self-consistent: a known kind whose
 // matching body (and only it) is present.
 func (r *Record) validate() error {
-	bodies := map[Kind]bool{
-		KindBegin:    r.Begin != nil,
-		KindStep:     r.Step != nil,
-		KindSnapshot: r.Snapshot != nil,
-		KindTransfer: r.Transfer != nil,
-		KindRecovery: r.Recovery != nil,
-		KindReplan:   r.Replan != nil,
-		KindOutcome:  r.Outcome != nil,
-	}
-	present, ok := bodies[r.Kind]
-	if !ok {
+	var present bool
+	switch r.Kind {
+	case KindBegin:
+		present = r.Begin != nil
+	case KindStep:
+		present = r.Step != nil
+	case KindSnapshot:
+		present = r.Snapshot != nil
+	case KindTransfer:
+		present = r.Transfer != nil
+	case KindRecovery:
+		present = r.Recovery != nil
+	case KindReplan:
+		present = r.Replan != nil
+	case KindOutcome:
+		present = r.Outcome != nil
+	default:
 		return fmt.Errorf("%w: unknown record kind %q", ErrCorrupt, r.Kind)
 	}
 	if !present {
 		return fmt.Errorf("%w: %s record without a %s body", ErrCorrupt, r.Kind, r.Kind)
 	}
 	n := 0
-	for _, p := range bodies {
-		if p {
+	for _, body := range [...]bool{
+		r.Begin != nil, r.Step != nil, r.Snapshot != nil, r.Transfer != nil,
+		r.Recovery != nil, r.Replan != nil, r.Outcome != nil,
+	} {
+		if body {
 			n++
 		}
 	}

@@ -222,11 +222,19 @@ func TestAppendValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := jw.Append(&journal.Record{Kind: journal.KindStep}); err == nil {
-		t.Error("step record without body accepted")
-	}
-	if err := jw.Append(&journal.Record{Kind: "bogus"}); err == nil {
-		t.Error("unknown kind accepted")
+	for _, c := range []struct {
+		rec  *journal.Record
+		want string
+	}{
+		{&journal.Record{Kind: journal.KindStep}, "journal: corrupt record: step record without a step body"},
+		{&journal.Record{Kind: "bogus"}, `journal: corrupt record: unknown record kind "bogus"`},
+		{&journal.Record{Kind: journal.KindStep, Step: &journal.Step{}, Outcome: &journal.Outcome{}},
+			"journal: corrupt record: step record with 2 bodies"},
+	} {
+		err := jw.Append(c.rec)
+		if err == nil || !errors.Is(err, journal.ErrCorrupt) || err.Error() != c.want {
+			t.Errorf("Append(%+v) = %v, want %q", *c.rec, err, c.want)
+		}
 	}
 	if jw.Err() != nil {
 		t.Errorf("validation failures must not poison the writer: %v", jw.Err())

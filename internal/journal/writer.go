@@ -2,7 +2,6 @@ package journal
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -52,6 +51,10 @@ type Writer struct {
 	// crashes it exists for.
 	sync func() error
 	err  error
+	// enc encodes every record this writer appends, into one reused
+	// buffer, with the last snapshot's event log and patch overlay
+	// cached.
+	enc encoder
 }
 
 // NewWriter starts a journal on w, writing the file header immediately.
@@ -123,7 +126,7 @@ func (jw *Writer) Append(rec *Record) error {
 	if err := rec.validate(); err != nil {
 		return err // caller bug, not a sink failure: not sticky
 	}
-	payload, err := json.Marshal(rec)
+	payload, err := jw.enc.record(rec)
 	if err != nil {
 		return fmt.Errorf("journal: encoding %s record: %w", rec.Kind, err)
 	}

@@ -3,6 +3,7 @@ package recovery_test
 import (
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -93,4 +94,35 @@ func stateDigest(t *testing.T, m *aquacore.Machine) string {
 		t.Fatal(err)
 	}
 	return fmt.Sprintf("%x", sha256.Sum256(js))[:16]
+}
+
+// TestNoVolumeAbortIsTyped pins the typed abort of an outcome-golden
+// run whose staged partition never got its measurement: glycomics under
+// moderate faults, seed 4, with no repair. The separation's transient
+// failure is not retried, so the next edge move has no volume; the
+// abort wraps aquacore.ErrNoVolume and names the separation it waits on.
+func TestNoVolumeAbortIsTyped(t *testing.T) {
+	ep, err := lang.Compile(assays.GlycomicsSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pipeline.Build(ep, pipeline.Options{Config: core.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := faults.Preset("moderate")
+	m, err := res.Machine(aquacore.Config{Faults: faults.New(p, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := recovery.Run(m, res.Prog, res.Compiled(), recovery.Options{DisableRetry: true, DisableRegen: true})
+	if out.Status != recovery.Aborted {
+		t.Fatalf("run ended %s, want aborted", out.Status)
+	}
+	if !errors.Is(out.Err, aquacore.ErrNoVolume) || !errors.Is(out.Err, recovery.ErrAborted) {
+		t.Fatalf("abort %v must wrap aquacore.ErrNoVolume and recovery.ErrAborted", out.Err)
+	}
+	if !strings.Contains(out.Err.Error(), "effluent measurement of unknown-volume node 3 (sep@7:1)") {
+		t.Errorf("abort %v does not name the separation whose measurement never arrived", out.Err)
+	}
 }
