@@ -177,7 +177,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		inj = faults.New(prof, *seed)
 	}
 	doRecover := *rec || *replan || *journalPath != "" || *crashAt >= 0
-	ropts := recovery.Options{RetriesPerInstr: *retries, SnapshotEvery: *snapEvery, EnableReplan: *replan, Budget: meter, NoCertify: *noCertify}
+	ropts := recovery.Options{RetriesPerInstr: *retries, SnapshotEvery: *snapEvery, EnableReplan: *replan, NoCertify: *noCertify}
 	if *crashAt >= 0 {
 		ropts.Crash = faults.CrashAt(*crashAt)
 	}
@@ -392,7 +392,6 @@ func doResume(fsys vfs.FS, path string, args []string, aisFile, volFile string, 
 		SnapshotEvery:   begin.SnapshotEvery,
 		EnableReplan:    begin.Replan,
 		Journal:         w,
-		Budget:          meter,
 		NoCertify:       noCertify,
 	}
 	snaps := recovery.Snapshots(recs)

@@ -10,11 +10,11 @@
 //
 //   - volume-interval analysis (interval.go): abstract interpretation
 //     propagating [min,max] volume intervals through the DAG; predicts
-//     definite underflow/overflow for a given core.Config and
-//     DAGSolve-specific underflow without invoking the solvers;
+//     definite underflow/overflow for a given core.Config without invoking
+//     the solvers, and DAGSolve-specific underflow by running core's own
+//     Dispense;
 //   - skew/feasibility analysis (skew.go): per-mix effective ratio against
-//     Config.MaxSkew(), with a computed minimal cascade depth as the
-//     suggestion;
+//     Config.MaxSkew(), with core's cascade depth as the suggestion;
 //   - dead-fluid/waste analysis (waste.go): fluids produced but never
 //     consumed, inputs statically discarded beyond a threshold, unused
 //     input declarations;
@@ -91,8 +91,6 @@ type Options struct {
 	// DiscardThreshold is the statically-discarded fraction of an input
 	// above which the waste pass warns. Zero selects 0.25.
 	DiscardThreshold float64
-	// Passes overrides the default pass pipeline (mainly for tests).
-	Passes []Pass
 }
 
 func (o Options) discardThreshold() float64 {
@@ -102,14 +100,8 @@ func (o Options) discardThreshold() float64 {
 	return 0.25
 }
 
-// Pass is one analysis. Passes observe the Context and report findings;
-// they must not mutate the graph or program.
-type Pass interface {
-	Name() string
-	Run(ctx *Context) diag.List
-}
-
-// Context is the shared state passes analyze.
+// Context is the shared state passes analyze. Passes observe it and
+// report findings; they never mutate the graph or program.
 type Context struct {
 	// Prog optionally supplies source-level information (positions,
 	// declarations). Nil for analyses over programmatically-built DAGs.
@@ -196,19 +188,12 @@ func (ctx *Context) Parts() []analysisPart {
 	return ctx.parts
 }
 
-// DefaultPasses returns the standard pipeline in order.
-func DefaultPasses() []Pass {
-	return []Pass{IntervalPass{}, SkewPass{}, WastePass{}, DivisibilityPass{}}
-}
-
 // Analyze lints an elaborated program against cfg, running every pass and
 // returning the aggregated, position-sorted findings. It returns a non-nil
 // error only when the inputs themselves are unusable (invalid config or
 // DAG) — an assay full of volume errors analyzes fine and reports them.
 //
-// Analyze is certified parallel-safe: concurrent lints are race-free
-// provided any caller-supplied Options.Passes are (the default pipeline
-// is).
+// Analyze is certified parallel-safe: concurrent lints are race-free.
 //
 //fluidvet:parallelsafe
 func Analyze(prog *elab.Program, cfg core.Config, opts Options) (diag.List, error) {
@@ -230,31 +215,24 @@ func run(ctx *Context) (diag.List, error) {
 	if err := ctx.Graph.Validate(); err != nil {
 		return nil, fmt.Errorf("analysis: invalid DAG: %w", err)
 	}
-	passes := ctx.Opts.Passes
-	if passes == nil {
-		passes = DefaultPasses()
+	// The passes run in pipeline order, polling cfg.Budget at each pass
+	// boundary: a tripped meter stops the lint with its typed cause.
+	if err := ctx.Cfg.Budget.Err(); err != nil {
+		return nil, err
 	}
-	var out diag.List
-	for _, p := range passes {
-		// Cooperative cancellation at the pass boundary: a tripped
-		// cfg.Budget stops the lint with its typed cause.
-		if err := ctx.Cfg.Budget.Err(); err != nil {
-			return nil, err
-		}
-		out = append(out, runPass(p, ctx)...)
+	out := intervalPass(ctx)
+	if err := ctx.Cfg.Budget.Err(); err != nil {
+		return nil, err
 	}
+	out = append(out, skewPass(ctx)...)
+	if err := ctx.Cfg.Budget.Err(); err != nil {
+		return nil, err
+	}
+	out = append(out, wastePass(ctx)...)
+	if err := ctx.Cfg.Budget.Err(); err != nil {
+		return nil, err
+	}
+	out = append(out, divisibilityPass(ctx)...)
 	out.Sort()
 	return out, nil
-}
-
-// runPass dispatches one pass through the Pass interface — the single
-// dynamic call on the certified Analyze path, isolated here so the
-// effect assertion trusts exactly this dispatch and nothing else. The
-// default passes (interval, skew, waste, divisibility) are in-package
-// pure analyses over the Context; caller-supplied passes must uphold
-// the same contract, which Options.Passes documents.
-//
-//fluidvet:effect reads-global,calls-param default passes are in-package pure analyses; Options.Passes extensions must be race-free per the field contract
-func runPass(p Pass, ctx *Context) diag.List {
-	return p.Run(ctx)
 }

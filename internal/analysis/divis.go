@@ -9,7 +9,7 @@ import (
 	"aquavol/internal/diag"
 )
 
-// DivisibilityPass is the least-count divisibility lint (VOL030): every
+// divisibilityPass is the least-count divisibility lint (VOL030): every
 // dispensed volume must be an integer multiple of the hardware least
 // count, so a mix is exactly realizable within one reservoir only if some
 // integer total T ≤ MaxSkew splits into integer per-component counts in
@@ -17,21 +17,7 @@ import (
 // with no such T (say 1:3.1417) are silently rounded by the dispenser;
 // this pass surfaces the rounding and suggests the closest realizable
 // ratio.
-type DivisibilityPass struct{}
-
-// Name implements Pass.
-func (DivisibilityPass) Name() string { return "divisibility" }
-
-// countTol separates float noise in frac×T (≲1e-12 for ratios that are
-// exact rationals with denominator ≤ MaxSkew) from genuine misses (the
-// best non-matching rational approximations err by ≳1e-5).
-const countTol = 1e-6
-
-// maxTotalScan bounds the search for pathological configurations.
-const maxTotalScan = 100000
-
-// Run implements Pass.
-func (DivisibilityPass) Run(ctx *Context) diag.List {
+func divisibilityPass(ctx *Context) diag.List {
 	var out diag.List
 	maxTotal := int(math.Floor(ctx.Cfg.MaxSkew() + countTol))
 	if maxTotal > maxTotalScan {
@@ -57,6 +43,14 @@ func (DivisibilityPass) Run(ctx *Context) diag.List {
 	}
 	return out
 }
+
+// countTol separates float noise in frac×T (≲1e-12 for ratios that are
+// exact rationals with denominator ≤ MaxSkew) from genuine misses (the
+// best non-matching rational approximations err by ≳1e-5).
+const countTol = 1e-6
+
+// maxTotalScan bounds the search for pathological configurations.
+const maxTotalScan = 100000
 
 // scanTotals finds the smallest total part count T at which every
 // component count frac×T is integral (within countTol) and ≥ 1. When none

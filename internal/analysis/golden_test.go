@@ -1,7 +1,6 @@
 package analysis_test
 
 import (
-	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,9 +8,8 @@ import (
 
 	"aquavol/internal/analysis"
 	"aquavol/internal/core"
+	"aquavol/internal/golden"
 )
-
-var update = flag.Bool("update", false, "rewrite golden files under testdata/lint")
 
 // TestGolden lints every assay in testdata/lint and compares the rendered
 // findings against the matching .golden file. Each volNNN_*.asy file is
@@ -43,18 +41,18 @@ func TestGolden(t *testing.T) {
 			}
 			got := b.String()
 
-			golden := strings.TrimSuffix(file, ".asy") + ".golden"
-			if *update {
-				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			path := strings.TrimSuffix(file, ".asy") + ".golden"
+			if golden.Updating() {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
-			want, err := os.ReadFile(golden)
+			want, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatalf("missing golden file (rerun with -update): %v", err)
 			}
 			if got != string(want) {
-				t.Errorf("findings differ from %s\n--- got ---\n%s--- want ---\n%s", golden, got, want)
+				t.Errorf("findings differ from %s\n--- got ---\n%s--- want ---\n%s", path, got, want)
 			}
 
 			// volNNN_*.asy must exhibit the code it is named after.

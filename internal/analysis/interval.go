@@ -13,7 +13,7 @@ import (
 // tolerance DAGSolve's feasibility checks use.
 const volTol = 1e-9
 
-// IntervalPass is the volume-interval analysis: an abstract interpretation
+// intervalPass is the volume-interval analysis: an abstract interpretation
 // that propagates [min, max] bounds on every node's total input volume
 // through the DAG and reports
 //
@@ -21,9 +21,10 @@ const volTol = 1e-9
 //     count under ANY volume assignment a solver could choose;
 //   - VOL002: definite overflow — some node needs more than MaxCapacity
 //     under ANY volume assignment;
-//   - VOL003: predicted DAGSolve underflow — the proportional assignment
-//     of §3.3 underflows, so the Fig. 6 hierarchy will engage transforms
-//     or the LP fallback (advisory; the program may still compile).
+//   - VOL003: predicted DAGSolve underflow — core's own Dispense, the
+//     proportional assignment of §3.3, underflows, so the Fig. 6
+//     hierarchy will engage transforms or the LP fallback (advisory; the
+//     program may still compile).
 //
 // Bounds are solver-independent: the forward pass uses only capacity and
 // edge-fraction constraints (edge = frac × consumer input ≤ producer
@@ -37,13 +38,7 @@ const volTol = 1e-9
 // post-cascade values so a single extreme ratio does not flood ancestors
 // with secondary findings; the mix itself is still reported (as a Warning,
 // since cascading repairs it automatically).
-type IntervalPass struct{}
-
-// Name implements Pass.
-func (IntervalPass) Name() string { return "volume-interval" }
-
-// Run implements Pass.
-func (p IntervalPass) Run(ctx *Context) diag.List {
+func intervalPass(ctx *Context) diag.List {
 	a := &intervalAnalysis{ctx: ctx, cfg: ctx.Cfg}
 	a.forward()
 	a.findUnderflows()
@@ -78,13 +73,6 @@ type intervalAnalysis struct {
 	foundDefinite                       bool
 }
 
-func (a *intervalAnalysis) minFor(n *dag.Node) float64 {
-	if m, ok := a.cfg.MinNodeVolume[n.Kind]; ok && m > a.cfg.LeastCount {
-		return m
-	}
-	return a.cfg.LeastCount
-}
-
 // outFracHi bounds OutFrac from above: unknown-volume nodes may retain any
 // fraction of their input, so 1 is the only sound bound.
 func outFracHi(n *dag.Node) float64 {
@@ -92,19 +80,6 @@ func outFracHi(n *dag.Node) float64 {
 		return 1
 	}
 	return n.OutFrac
-}
-
-// cascadeDepth reports the minimal hardware-feasible cascade depth for mix
-// n (0 when no cascade is needed or possible). Mirrors the preconditions
-// of core's diagnose: two-part Mix, no NOEXCESS component.
-func (a *intervalAnalysis) cascadeDepth(n *dag.Node) int {
-	if n.Kind != dag.Mix || len(n.In()) != 2 {
-		return 0
-	}
-	if n.NoExcess || n.In()[0].From.NoExcess || n.In()[1].From.NoExcess {
-		return 0
-	}
-	return dag.CascadeLevels(dag.ExtremeRatio(n), a.cfg.MaxSkew())
 }
 
 // forward computes maxIn/maxProd in topological order.
@@ -198,10 +173,10 @@ func (a *intervalAnalysis) findUnderflows() {
 				worst, worstVol = e, v
 			}
 		}
-		nodeMin := a.minFor(n)
+		nodeMin := a.cfg.MinFor(n)
 		switch {
 		case worst != nil && worstVol < lc-volTol:
-			if depth := a.cascadeDepth(n); depth >= 2 {
+			if depth := core.CascadeDepth(n, a.cfg.MaxSkew()); depth > 0 {
 				skew := dag.ExtremeRatio(n)
 				// Cascading repairs this underflow, so the definite-Error
 				// default downgrades to Warning here.
@@ -249,7 +224,7 @@ func (a *intervalAnalysis) backward() {
 		need := demand / (outFracHi(n) * (1 - n.Discard))
 		strict, eff := need, need
 		if !n.IsSource() {
-			floor := a.minFor(n)
+			floor := a.cfg.MinFor(n)
 			for _, e := range n.In() {
 				if f := lc / e.Frac; f > floor {
 					floor = f
@@ -261,9 +236,9 @@ func (a *intervalAnalysis) backward() {
 			// Post-cascade the minor fraction improves to (1+R)^(-1/depth),
 			// so ancestors only see the relaxed demand.
 			effFloor := floor
-			if depth := a.cascadeDepth(n); depth >= 2 {
+			if depth := core.CascadeDepth(n, a.cfg.MaxSkew()); depth > 0 {
 				R := dag.ExtremeRatio(n)
-				effFloor = a.minFor(n)
+				effFloor = a.cfg.MinFor(n)
 				if f := lc * math.Pow(1+R, 1/float64(depth)); f > effFloor {
 					effFloor = f
 				}
@@ -307,8 +282,8 @@ func (a *intervalAnalysis) findOverflows() {
 		msg := fmt.Sprintf("%s needs at least %.4g nl under any volume assignment, above the maximum capacity %.4g nl",
 			n.Name, a.minIn[id], cap)
 		var d diag.Diagnostic
-		switch depth := a.cascadeDepth(n); {
-		case depth >= 2:
+		switch depth := core.CascadeDepth(n, a.cfg.MaxSkew()); {
+		case depth > 0:
 			d = CodeOverflow.NewWith(diag.Warning, a.ctx.PosOf(n), "%s", msg).
 				Suggest("cascade depth %d reduces the required volume; the volume manager applies it automatically", depth)
 		case !n.Unknown && n.Kind != dag.ConstrainedInput && len(n.Out()) > 1:
@@ -324,76 +299,62 @@ func (a *intervalAnalysis) findOverflows() {
 }
 
 // predictDAGSolve reports VOL003: per solve-time part, would the plain
-// proportional assignment of §3.3 underflow? Skipped entirely when a
-// definite Error was already found (it would restate the root cause).
+// proportional assignment of §3.3 underflow? It runs core's own Dispense
+// on the part's Vnorms and reports the plan's worst underflow. Statically
+// split inputs bound the scale as they do in the volume manager; inputs
+// measured at run time do not. Skipped entirely when a definite Error was
+// already found (it would restate the root cause).
 func (a *intervalAnalysis) predictDAGSolve() {
+	cfg := a.cfg
+	cfg.Budget = nil // the lint polls the meter between passes, never charges it
+	static := core.StaticAvailability(cfg)
+	avail := func(ci *dag.Node) (float64, bool) {
+		if v, ok := static(ci); ok {
+			return v, true
+		}
+		return math.Inf(1), true
+	}
 	for pi := range a.ctx.Parts() {
 		part := &a.ctx.Parts()[pi]
 		v, err := core.ComputeVnorms(part.g)
 		if err != nil {
 			continue
 		}
-		_, maxV := v.MaxNode()
-		if !(maxV > 0) {
+		plan, err := core.Dispense(v, cfg, avail)
+		if err != nil {
 			continue
 		}
-		scale := a.cfg.MaxCapacity / maxV
-		for _, n := range part.g.Nodes() {
-			// Statically-split inputs clamp the scale exactly as Dispense does.
-			if n != nil && n.Kind == dag.ConstrainedInput && n.SourceIsInput {
-				if vn := v.Node[n.ID()]; vn > 0 && n.Share*a.cfg.MaxCapacity/vn < scale {
-					scale = n.Share * a.cfg.MaxCapacity / vn
-				}
+		var worst *core.Underflow // largest shortfall below its minimum
+		for i := range plan.Underflows {
+			u := &plan.Underflows[i]
+			if worst == nil || u.Minimum-u.Volume > worst.Minimum-worst.Volume+volTol {
+				worst = u
 			}
 		}
-
-		var worstEdge *dag.Edge
-		worstGap := 0.0 // shortfall relative to the edge's requirement
-		for _, e := range part.g.Edges() {
-			if e == nil || v.Edge[e.ID()] <= 0 {
-				continue
-			}
-			vol := v.Edge[e.ID()] * scale
-			if gap := a.cfg.LeastCount - vol; gap > worstGap+volTol {
-				worstEdge, worstGap = e, gap
-			}
-		}
-		var worstNode *dag.Node
-		for _, n := range part.g.Nodes() {
-			if n == nil || n.Kind == dag.Excess || n.IsSource() || v.Node[n.ID()] <= 0 {
-				continue
-			}
-			vol := v.Node[n.ID()] * scale
-			if gap := a.minFor(n) - vol; gap > worstGap+volTol {
-				worstEdge, worstNode, worstGap = nil, n, gap
-			}
-		}
-		if worstEdge == nil && worstNode == nil {
+		if worst == nil {
 			continue
 		}
 
 		maxN, _ := v.MaxNode()
 		var d diag.Diagnostic
-		if worstEdge != nil {
-			to := worstEdge.To
+		if worst.Edge >= 0 {
+			e := part.g.Edges()[worst.Edge]
+			to := e.To
 			d = CodeDAGSolveUnderflow.New(a.ctx.posOfOrig(part.origID(to.ID())),
 				"DAGSolve would underflow: %s receives %.4g nl from %s (least count %.4g nl) when %s is filled to capacity",
-				to.Name, v.Edge[worstEdge.ID()]*scale, worstEdge.From.Name, a.cfg.LeastCount, maxN.Name)
-			// Mirror core's diagnose: an underflow at a high-skew two-part
-			// mix is attributed to the ratio and fixed by cascading.
-			skew := dag.ExtremeRatio(to)
-			if to.Kind == dag.Mix && len(to.In()) == 2 && skew > cascadeTrigger(a.cfg) && !cascadeForbidden(to) {
-				if depth := dag.CascadeLevels(skew, cascadeTrigger(a.cfg)); depth >= 2 {
-					d.Suggestion = fmt.Sprintf("the volume manager will cascade mix %s (depth %d)", to.Name, depth)
-				}
-			}
-			if d.Suggestion == "" {
+				to.Name, worst.Volume, e.From.Name, a.cfg.LeastCount, maxN.Name)
+			// core's diagnose attributes an underflow at a mix above the
+			// cascade trigger to the ratio and cascades it.
+			if depth := core.CascadeDepth(to, a.cfg.TriggerSkew()); depth > 0 {
+				d.Suggestion = fmt.Sprintf("the volume manager will cascade mix %s (depth %d)", to.Name, depth)
+			} else {
 				d.Suggestion = fmt.Sprintf("the volume manager will transform the DAG (replicating %s) or fall back on the LP solver", maxN.Name)
 			}
 		} else {
-			d = CodeDAGSolveUnderflow.New(a.ctx.posOfOrig(part.origID(worstNode.ID())),
+			n := part.g.Node(worst.Node)
+			d = CodeDAGSolveUnderflow.New(a.ctx.posOfOrig(part.origID(n.ID())),
 				"DAGSolve would underflow: %s receives %.4g nl, below its %.4g nl node minimum, when %s is filled to capacity",
-				worstNode.Name, v.Node[worstNode.ID()]*scale, a.minFor(worstNode), maxN.Name).
+				n.Name, worst.Volume, worst.Minimum, maxN.Name).
 				Suggest("the volume manager will transform the DAG (replicating %s) or fall back on the LP solver", maxN.Name)
 		}
 		a.out = append(a.out, d)

@@ -2,16 +2,17 @@ package analysis
 
 import (
 	"fmt"
-	"math"
 
 	"aquavol/internal/core"
 	"aquavol/internal/dag"
 	"aquavol/internal/diag"
 )
 
-// SkewPass is the skew/feasibility analysis: every mix's effective ratio
+// skewPass is the skew/feasibility analysis: every mix's effective ratio
 // (largest to smallest inbound fraction) is checked against the hardware's
-// MaxSkew = MaxCapacity/LeastCount (§3.4.1).
+// MaxSkew = MaxCapacity/LeastCount (§3.4.1). Whether and how deep a mix
+// is cascaded is core.CascadeDepth's answer, the rule the volume manager
+// itself applies.
 //
 //   - VOL010 (warning): the ratio exceeds MaxSkew but cascading repairs
 //     it; the suggestion carries the minimal sufficient depth.
@@ -19,39 +20,29 @@ import (
 //     apply (NOEXCESS fluids, more than two parts, or no feasible depth).
 //   - VOL012 (info): the ratio is executable but above the cascade
 //     trigger, so the volume manager will cascade if DAGSolve underflows.
-type SkewPass struct{}
-
-// Name implements Pass.
-func (SkewPass) Name() string { return "skew" }
-
-// Run implements Pass.
-func (SkewPass) Run(ctx *Context) diag.List {
+func skewPass(ctx *Context) diag.List {
 	var out diag.List
-	maxSkew := ctx.Cfg.MaxSkew()
-	trigger := cascadeTrigger(ctx.Cfg)
+	maxSkew, trigger := ctx.Cfg.MaxSkew(), ctx.Cfg.TriggerSkew()
 	for _, n := range ctx.Graph.Nodes() {
 		if n == nil || n.Kind != dag.Mix || len(n.In()) < 2 {
 			continue
 		}
 		R := dag.ExtremeRatio(n)
-		switch {
-		case R > maxSkew:
-			if depth := dag.CascadeLevels(R, maxSkew); depth >= 2 && len(n.In()) == 2 && !cascadeForbidden(n) {
+		if R > maxSkew {
+			if depth := core.CascadeDepth(n, maxSkew); depth > 0 {
 				out = append(out, CodeExtremeRatio.New(ctx.PosOf(n),
 					"mix %s %s exceeds MaxSkew %.6g", n.Name, ratioString(n, R), maxSkew).
 					Suggest("cascade depth %d suffices; the volume manager applies it automatically", depth))
 			} else {
 				out = append(out, CodeUncascadable.New(ctx.PosOf(n),
 					"mix %s %s exceeds MaxSkew %.6g and cannot be cascaded (%s)",
-					n.Name, ratioString(n, R), maxSkew, uncascadableReason(n, R, maxSkew)).
+					n.Name, ratioString(n, R), maxSkew, uncascadableReason(n)).
 					Suggest("split the dilution into serial stages by hand, or relax the ratio"))
 			}
-		case R > trigger && len(n.In()) == 2 && !cascadeForbidden(n):
-			if depth := dag.CascadeLevels(R, trigger); depth >= 2 {
-				out = append(out, CodeCascadeExpected.New(ctx.PosOf(n),
-					"mix %s %s exceeds the cascade trigger %.4g; the volume manager will cascade it (depth %d) if dispensing underflows",
-					n.Name, ratioString(n, R), trigger, depth))
-			}
+		} else if depth := core.CascadeDepth(n, trigger); depth > 0 {
+			out = append(out, CodeCascadeExpected.New(ctx.PosOf(n),
+				"mix %s %s exceeds the cascade trigger %.4g; the volume manager will cascade it (depth %d) if dispensing underflows",
+				n.Name, ratioString(n, R), trigger, depth))
 		}
 	}
 	return out
@@ -66,37 +57,14 @@ func ratioString(n *dag.Node, R float64) string {
 	return fmt.Sprintf("skew %.6g", R)
 }
 
-func uncascadableReason(n *dag.Node, R, maxSkew float64) string {
+// uncascadableReason says why a mix beyond MaxSkew has no cascade depth.
+func uncascadableReason(n *dag.Node) string {
 	switch {
 	case len(n.In()) != 2:
 		return fmt.Sprintf("cascading supports two-part mixes, this one has %d parts", len(n.In()))
-	case cascadeForbidden(n):
+	case core.CascadeForbidden(n):
 		return "its fluids forbid excess production (NOEXCESS)"
-	case dag.CascadeLevels(R, maxSkew) < 2:
-		return "no supported cascade depth brings each stage under MaxSkew"
 	default:
-		return "unknown"
+		return "no supported cascade depth brings each stage under MaxSkew"
 	}
-}
-
-// cascadeForbidden mirrors core's rule: cascading never introduces excess
-// of a mix whose result or components are marked NOEXCESS.
-func cascadeForbidden(n *dag.Node) bool {
-	if n.NoExcess {
-		return true
-	}
-	for _, e := range n.In() {
-		if e.From.NoExcess {
-			return true
-		}
-	}
-	return false
-}
-
-// cascadeTrigger mirrors core's default: sqrt(MaxSkew) when unset.
-func cascadeTrigger(cfg core.Config) float64 {
-	if cfg.CascadeTrigger > 0 {
-		return cfg.CascadeTrigger
-	}
-	return math.Sqrt(cfg.MaxSkew())
 }

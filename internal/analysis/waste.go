@@ -9,7 +9,7 @@ import (
 	"aquavol/internal/lang/token"
 )
 
-// WastePass is the dead-fluid/waste analysis:
+// wastePass is the dead-fluid/waste analysis:
 //
 //   - VOL020 (warning): a fluid is produced but never consumed — a wet
 //     leaf that is neither sensed nor output, or a separation whose
@@ -19,18 +19,10 @@ import (
 //     by propagating per-input composition fractions along the Vnorm flow;
 //   - VOL022 (warning): a declared fluid is never referenced at all
 //     (requires the elaborated program).
-type WastePass struct{}
-
-// Name implements Pass.
-func (WastePass) Name() string { return "waste" }
-
-// Run implements Pass.
-func (p WastePass) Run(ctx *Context) diag.List {
-	var out diag.List
-	out = append(out, p.deadFluids(ctx)...)
-	out = append(out, p.wastedInputs(ctx)...)
-	out = append(out, p.unusedDecls(ctx)...)
-	return out
+func wastePass(ctx *Context) diag.List {
+	out := deadFluids(ctx)
+	out = append(out, wastedInputs(ctx)...)
+	return append(out, unusedDecls(ctx)...)
 }
 
 // isWetProducer reports whether a node of this kind makes a fluid some
@@ -48,7 +40,7 @@ func deadLeaf(n *dag.Node) bool {
 	return n.IsLeaf() && isWetProducer(n.Kind)
 }
 
-func (WastePass) deadFluids(ctx *Context) diag.List {
+func deadFluids(ctx *Context) diag.List {
 	var out diag.List
 	for _, n := range ctx.Graph.Nodes() {
 		if n == nil {
@@ -86,7 +78,7 @@ func (WastePass) deadFluids(ctx *Context) diag.List {
 // dispense scale cancels out. (Unconsumed *products* are not waste sinks;
 // they get VOL020 instead. Attribution is by volume share, ignoring that
 // separations change composition.)
-func (p WastePass) wastedInputs(ctx *Context) diag.List {
+func wastedInputs(ctx *Context) diag.List {
 	var out diag.List
 	threshold := ctx.Opts.discardThreshold()
 	// wastedShare[origInputID] tracks the worst share over parts.
@@ -192,7 +184,7 @@ func (p WastePass) wastedInputs(ctx *Context) diag.List {
 		if w.share <= threshold {
 			continue
 		}
-		out = append(out, CodeStaticWaste.New(p.declPos(ctx, w.name),
+		out = append(out, CodeStaticWaste.New(declPos(ctx, w.name),
 			"%.0f%% of input %s is statically discarded (threshold %.0f%%)",
 			w.share*100, w.name, threshold*100).
 			Suggest("reduce the contributing mix ratios or reuse the discarded fluid"))
@@ -202,7 +194,7 @@ func (p WastePass) wastedInputs(ctx *Context) diag.List {
 
 // declPos finds the declaration position for a fluid name, falling back to
 // the input node's op position (zero when neither is known).
-func (WastePass) declPos(ctx *Context, name string) token.Pos {
+func declPos(ctx *Context, name string) token.Pos {
 	if ctx.Prog != nil {
 		for _, d := range ctx.Prog.FluidDecls {
 			if d.Name == name {
@@ -216,7 +208,7 @@ func (WastePass) declPos(ctx *Context, name string) token.Pos {
 	return token.Pos{}
 }
 
-func (WastePass) unusedDecls(ctx *Context) diag.List {
+func unusedDecls(ctx *Context) diag.List {
 	if ctx.Prog == nil {
 		return nil
 	}

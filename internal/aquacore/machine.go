@@ -474,6 +474,11 @@ func (m *Machine) Patches() ais.VolumeTable {
 // residual re-solve must plan against.
 func (m *Machine) VolumeConfig() core.Config { return m.cfg.Volume }
 
+// Meter reports the run meter the machine charges per executed
+// instruction (Config.Budget; nil when unbounded). The recovery runtime
+// polls the same meter at instruction boundaries and between retries.
+func (m *Machine) Meter() *budget.Meter { return m.cfg.Budget }
+
 // Run executes the program to completion (or the instruction budget) and
 // returns the result.
 func (m *Machine) Run(prog *ais.Program) (*Result, error) {
@@ -693,14 +698,47 @@ func (m *Machine) underflow(pc int, in ais.Instr, what string, vol float64) {
 	}
 }
 
+// transfer draws vol from src toward dst, a vessel or an output port,
+// for a move or output (verb names what did not happen when the
+// transport fails). Under faults it draws in a fixed order: the failure
+// coin, then metering jitter (metered volumes only: whole-vessel drains
+// are not metered), then the dead-volume loss in the channel, and it
+// books the shortfall against plan as dst's drift. It returns the
+// delivered volume, whose composition is left in m.drawn, and false
+// when the transport failed and moved nothing.
+func (m *Machine) transfer(pc int, in ais.Instr, src *vessel, dst, verb string, vol float64, metered bool) (float64, bool) {
+	planned := vol
+	if m.flt != nil {
+		if m.flt.Fails() {
+			m.event(EventFUFailure, pc, in, "transient transport failure: nothing %s from %s to %s", verb, src.name, dst)
+			return 0, false
+		}
+		if metered {
+			vol = m.flt.Meter(vol)
+		}
+	}
+	vol = m.clampDraw(pc, in, src, vol)
+	m.drawn = src.draw(vol, m.drawn[:0])
+	delivered := vol
+	if m.flt != nil {
+		if dead := math.Min(m.flt.Dead(), delivered); dead > 0 {
+			scaleComp(m.drawn, (delivered-dead)/delivered)
+			delivered -= dead
+			m.event(EventFaultLoss, pc, in, "dead volume: %.4g nl lost in the channel to %s", dead, dst)
+		}
+		m.drift[dst] += planned - delivered
+	}
+	return delivered, true
+}
+
 // clampDraw returns the volume a draw of vol from src actually takes:
 // all of it, or — raising EventRanOut — what src holds.
-func (m *Machine) clampDraw(pc int, in ais.Instr, srcName string, src *vessel, vol float64) float64 {
+func (m *Machine) clampDraw(pc int, in ais.Instr, src *vessel, vol float64) float64 {
 	// volTol absorbs serialization rounding (volume tables round to 9
 	// significant digits); it is 10⁵× below the least count.
 	const volTol = 1e-6
 	if vol > src.vol+volTol {
-		m.event(EventRanOut, pc, in, "need %.4g nl but %s holds %.4g nl", vol, srcName, src.vol)
+		m.event(EventRanOut, pc, in, "need %.4g nl but %s holds %.4g nl", vol, src.name, src.vol)
 		return src.vol
 	}
 	return vol
@@ -843,28 +881,9 @@ func (m *Machine) step(pc int, in ais.Instr, prog *ais.Program, pcOut *int) (jum
 			vol = srcV.vol // whole-vessel transfer
 		}
 		m.underflow(pc, in, "move", vol)
-		planned := vol
-		if m.flt != nil {
-			// Fixed draw order: failure coin first, then metering jitter.
-			// Whole-vessel drains are not metered, so no jitter there.
-			if m.flt.Fails() {
-				m.event(EventFUFailure, pc, in, "transient transport failure: nothing moved from %s to %s", srcName, dstName)
-				break
-			}
-			if metered {
-				vol = m.flt.Meter(vol)
-			}
-		}
-		vol = m.clampDraw(pc, in, srcName, srcV, vol)
-		m.drawn = srcV.draw(vol, m.drawn[:0])
-		delivered := vol
-		if m.flt != nil {
-			if dead := math.Min(m.flt.Dead(), delivered); dead > 0 {
-				scaleComp(m.drawn, (delivered-dead)/delivered)
-				delivered -= dead
-				m.event(EventFaultLoss, pc, in, "dead volume: %.4g nl lost in the channel to %s", dead, dstName)
-			}
-			m.drift[dstName] += planned - delivered
+		delivered, ok := m.transfer(pc, in, srcV, dstName, "moved", vol, metered)
+		if !ok {
+			break
 		}
 		dstV := m.vessel(dstName)
 		dstV.add(delivered, m.drawn)
@@ -884,27 +903,10 @@ func (m *Machine) step(pc int, in ais.Instr, prog *ais.Program, pcOut *int) (jum
 			vol = srcV.vol
 		}
 		m.underflow(pc, in, "output", vol)
-		planned := vol
 		port := in.Operands[0].Name
-		if m.flt != nil {
-			if m.flt.Fails() {
-				m.event(EventFUFailure, pc, in, "transient transport failure: nothing delivered from %s to %s", srcName, port)
-				break
-			}
-			if metered {
-				vol = m.flt.Meter(vol)
-			}
-		}
-		vol = m.clampDraw(pc, in, srcName, srcV, vol)
-		m.drawn = srcV.draw(vol, m.drawn[:0])
-		delivered := vol
-		if m.flt != nil {
-			if dead := math.Min(m.flt.Dead(), delivered); dead > 0 {
-				scaleComp(m.drawn, (delivered-dead)/delivered)
-				delivered -= dead
-				m.event(EventFaultLoss, pc, in, "dead volume: %.4g nl lost in the channel to %s", dead, port)
-			}
-			m.drift[port] += planned - delivered
+		delivered, ok := m.transfer(pc, in, srcV, port, "delivered", vol, metered)
+		if !ok {
+			break
 		}
 		m.res.Outputs = append(m.res.Outputs, Output{
 			Port: port, Volume: delivered, Composition: composition(m.drawn),

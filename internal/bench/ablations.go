@@ -30,7 +30,7 @@ func CascadeDepth() *Table {
 		Header: []string{"levels", "stage ratio", "diluent Vnorm", "min dispense", "extra wet nodes", "feasible"},
 	}
 	base := assays.EnzymeDAG(4)
-	baseNodes := wetCount(base)
+	baseNodes := core.WetNodeCount(base)
 	for levels := 2; levels <= 5; levels++ {
 		g := assays.EnzymeDAG(4)
 		for _, name := range []string{"inh_dil4", "enz_dil4", "sub_dil4"} {
@@ -50,7 +50,7 @@ func CascadeDepth() *Table {
 			fmt.Sprintf("1:%.3g", stage),
 			fmt.Sprintf("%.3g", plan.NodeVnorm[dil.ID()]),
 			fmtVol(min),
-			fmt.Sprintf("%d", wetCount(g)-baseNodes),
+			fmt.Sprintf("%d", core.WetNodeCount(g)-baseNodes),
 			fmt.Sprintf("%v", plan.Feasible()),
 		})
 	}
@@ -83,7 +83,7 @@ func ReplicaSweep() *Table {
 				panic(err)
 			}
 			dil := g.NodeByName("diluent")
-			if _, err := g.Replicate(dil, copies, balancedByVnorm(dil, vn, copies)); err != nil {
+			if _, err := g.Replicate(dil, copies, core.BalancedAssign(dil, vn, copies)); err != nil {
 				panic(err)
 			}
 		}
@@ -103,31 +103,6 @@ func ReplicaSweep() *Table {
 	t.Notes = append(t.Notes,
 		"the paper used 3 replicas (one per reagent group, min 196 pl); 2 already suffice at ~131 pl; past the point where the diluent stops being the Vnorm bottleneck, more replicas do not help")
 	return t
-}
-
-func balancedByVnorm(n *dag.Node, vn *core.Vnorms, copies int) func(*dag.Edge) int {
-	loads := make([]float64, copies)
-	assign := map[*dag.Edge]int{}
-	edges := append([]*dag.Edge(nil), n.Out()...)
-	// Descending Vnorm, greedy least-loaded.
-	for i := 0; i < len(edges); i++ {
-		for j := i + 1; j < len(edges); j++ {
-			if vn.Edge[edges[j].ID()] > vn.Edge[edges[i].ID()] {
-				edges[i], edges[j] = edges[j], edges[i]
-			}
-		}
-	}
-	for _, e := range edges {
-		min := 0
-		for i := 1; i < copies; i++ {
-			if loads[i] < loads[min] {
-				min = i
-			}
-		}
-		assign[e] = min
-		loads[min] += vn.Edge[e.ID()]
-	}
-	return func(e *dag.Edge) int { return assign[e] }
 }
 
 // RegenStrategy compares lazy and eager-slice regeneration repair on the
@@ -221,16 +196,6 @@ func OutputSkewSweep() *Table {
 	t.Notes = append(t.Notes,
 		"maximizing total output alone skews production toward the outputs that consume the least of the bottleneck reagent; the paper's ±10% band keeps outputs comparable at a small total-production cost")
 	return t
-}
-
-func wetCount(g *dag.Graph) int {
-	c := 0
-	for _, n := range g.Nodes() {
-		if n != nil && n.Kind != dag.Excess {
-			c++
-		}
-	}
-	return c
 }
 
 func maxVnorm(p *core.Plan) (int, float64) {

@@ -229,9 +229,7 @@ func boundedExecCell(ca *compiledAssay, pname string, snapshotEvery int, dir str
 	}
 
 	// Exactly U instructions of budget admit the whole run.
-	opts := run.opts
-	opts.Budget = budget.New(cell.WorkUnits)
-	out, _, err := ca.runRecovered(p, boundedSeed, opts)
+	out, _, err := ca.runRecovered(p, boundedSeed, run.opts, budget.New(cell.WorkUnits))
 	if err != nil {
 		return nil, err
 	}

@@ -55,8 +55,9 @@ func (r chaosRun) reference(path string) (*chaosRef, error) {
 		return nil, err
 	}
 	opts := r.opts
-	opts.Journal, opts.Budget = jw, budget.New(0)
-	out, m, err := r.ca.runRecovered(r.p, r.seed, opts)
+	opts.Journal = jw
+	meter := budget.New(0)
+	out, m, err := r.ca.runRecovered(r.p, r.seed, opts, meter)
 	if cerr := f.Close(); cerr != nil && err == nil {
 		err = fmt.Errorf("closing reference journal: %w", cerr)
 	}
@@ -66,7 +67,7 @@ func (r chaosRun) reference(path string) (*chaosRef, error) {
 	if out.Status == recovery.Aborted {
 		return nil, fmt.Errorf("reference run aborted: %w", out.Err)
 	}
-	ref := &chaosRef{sites: fsys.Counts(), work: opts.Budget.Used()}
+	ref := &chaosRef{sites: fsys.Counts(), work: meter.Used()}
 	if ref.fp, err = machineFP(m); err != nil {
 		return nil, err
 	}
@@ -147,10 +148,11 @@ func (r chaosRun) strike(path string, b blow, want string) (*verdict, error) {
 	}
 	opts := r.opts
 	opts.Journal, opts.Crash = jw, b.kill
+	var meter *budget.Meter
 	if b.cancel > 0 {
-		opts.Budget = budget.New(0).CancelAfter(b.cancel)
+		meter = budget.New(0).CancelAfter(b.cancel)
 	}
-	out, m, err := r.ca.runRecovered(r.p, r.seed, opts)
+	out, m, err := r.ca.runRecovered(r.p, r.seed, opts, meter)
 	// The close may be the struck site, and an interrupted journal ends
 	// where the blow left it; closing changes nothing either way.
 	f.Close() //fluidvet:allow syncerr the struck journal is crash evidence; every append was already fsynced
@@ -194,7 +196,7 @@ func (r chaosRun) strike(path string, b blow, want string) (*verdict, error) {
 	var resumed *aquacore.Machine
 	out, used, err := recovery.ResumeFallback(
 		func() (*aquacore.Machine, error) {
-			m, err := r.ca.Machine(runConfig(r.p, r.seed, opts.Budget))
+			m, err := r.ca.Machine(runConfig(r.p, r.seed, nil))
 			resumed = m
 			return m, err
 		},

@@ -87,7 +87,7 @@ func ReplanOutcomes(seeds int) ([]ReplanCell, error) {
 				cell := ReplanCell{Assay: ca.name, Profile: pname, Strategy: strat.Name}
 				for s := 0; s < seeds; s++ {
 					seed := replanSeed(s)
-					out, m, err := ca.runRecovered(p, seed, strat.Opts)
+					out, m, err := ca.runRecovered(p, seed, strat.Opts, nil)
 					if err != nil {
 						return nil, fmt.Errorf("%s/%s/%s seed %d: %w", ca.name, pname, strat.Name, seed, err)
 					}

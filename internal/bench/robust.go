@@ -50,10 +50,10 @@ func runConfig(p faults.Profile, seed int64, meter *budget.Meter) aquacore.Confi
 }
 
 // runRecovered executes one seeded run under the recovery runtime, its
-// machine bounded by opts.Budget, returning the machine too so callers
-// can fingerprint its final state.
-func (ca *compiledAssay) runRecovered(p faults.Profile, seed int64, opts recovery.Options) (*recovery.Outcome, *aquacore.Machine, error) {
-	m, err := ca.Machine(runConfig(p, seed, opts.Budget))
+// machine bounded by meter (nil for none), returning the machine too so
+// callers can fingerprint its final state.
+func (ca *compiledAssay) runRecovered(p faults.Profile, seed int64, opts recovery.Options, meter *budget.Meter) (*recovery.Outcome, *aquacore.Machine, error) {
+	m, err := ca.Machine(runConfig(p, seed, meter))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -101,7 +101,7 @@ func RobustnessOutcomes(seeds int) ([]RobustnessCell, error) {
 			p, _ := faults.Preset(pname)
 			c := RobustnessCell{Assay: ca.name, Profile: pname}
 			for s := 0; s < seeds; s++ {
-				out, _, err := ca.runRecovered(p, int64(1000*s+7), recovery.Options{})
+				out, _, err := ca.runRecovered(p, int64(1000*s+7), recovery.Options{}, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -196,7 +196,7 @@ func MarginSweepOutcomes() ([]MarginOutcome, error) {
 			return nil, err
 		}
 		o, _, err := ca.runRecovered(marginSweepProfile(), 0,
-			recovery.Options{DisableRetry: true, DisableRegen: true})
+			recovery.Options{DisableRetry: true, DisableRegen: true}, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -81,7 +81,10 @@ func DefaultConfig() Config {
 // MaxCapacity / LeastCount (§3.4.1).
 func (c Config) MaxSkew() float64 { return c.MaxCapacity / c.LeastCount }
 
-func (c Config) cascadeTrigger() float64 {
+// TriggerSkew is the mix skew above which the Fig. 6 hierarchy blames
+// an underflow on the ratio and cascades: CascadeTrigger, or
+// sqrt(MaxSkew) when that is unset.
+func (c Config) TriggerSkew() float64 {
 	if c.CascadeTrigger > 0 {
 		return c.CascadeTrigger
 	}
@@ -117,10 +120,7 @@ func (c Config) Validate() error {
 // the least count itself. Exported so the independent certificate
 // checker (internal/certify) enforces exactly the thresholds the
 // solvers planned against.
-func (c Config) MinFor(n *dag.Node) float64 { return c.minForNode(n) }
-
-// minForNode is the minimum total-input volume required at node n.
-func (c Config) minForNode(n *dag.Node) float64 {
+func (c Config) MinFor(n *dag.Node) float64 {
 	if m, ok := c.MinNodeVolume[n.Kind]; ok && m > c.LeastCount {
 		return m
 	}

@@ -52,16 +52,11 @@ func ComputeVnorms(g *dag.Graph) (*Vnorms, error) {
 	return computeVnormsSeeded(g, func(*dag.Node) float64 { return 1 }, 0, nil)
 }
 
-// ComputeVnormsMargin is ComputeVnorms with Config.SafetyMargin applied:
-// every non-leaf node plans (1+margin)× its consumers' draws, giving each
-// level ε slack against metering jitter, dead volume, and evaporation.
-// Margin 0 is exactly ComputeVnorms.
-func ComputeVnormsMargin(g *dag.Graph, margin float64) (*Vnorms, error) {
-	return computeVnormsBudgeted(g, margin, nil)
-}
-
-// computeVnormsBudgeted is the budget-aware backward pass behind
-// ComputeVnormsMargin: bud (may be nil) is charged a work unit per node.
+// computeVnormsBudgeted is ComputeVnorms with Config.SafetyMargin
+// applied: every non-leaf node plans (1+margin)× its consumers' draws,
+// giving each level ε slack against metering jitter, dead volume, and
+// evaporation. Margin 0 is exactly ComputeVnorms. bud (may be nil) is
+// charged a work unit per node.
 func computeVnormsBudgeted(g *dag.Graph, margin float64, bud *budget.Meter) (*Vnorms, error) {
 	if margin < 0 || margin >= 1 || math.IsNaN(margin) {
 		return nil, fmt.Errorf("core: safety margin must be in [0, 1), got %v", margin)

@@ -133,7 +133,8 @@ func Formulate(g *dag.Graph, cfg Config, opts FormulateOptions, avail Availabili
 		return terms
 	}
 	// Safety margin ε inflates the non-deficit constraints: production must
-	// cover (1+ε)× the outbound draws, mirroring ComputeVnormsMargin.
+	// cover (1+ε)× the outbound draws, as DAGSolve's backward pass does
+	// under Config.SafetyMargin.
 	outSumMargin := func(n *dag.Node) []lp.Term {
 		terms := outSum(n)
 		if cfg.SafetyMargin > 0 {
@@ -188,7 +189,7 @@ func Formulate(g *dag.Graph, cfg Config, opts FormulateOptions, avail Availabili
 
 		// FFU minimum volume (class 1 extension): total inbound at least
 		// the kind's minimum, when configured above the least count.
-		if min := cfg.minForNode(n); min > cfg.LeastCount {
+		if min := cfg.MinFor(n); min > cfg.LeastCount {
 			f.Prob.AddConstraint(fmt.Sprintf("min_%s", n.Name), inSum(n), lp.GE, min)
 			f.Counts.MinVolume++
 		}

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"aquavol/internal/dag"
-	"aquavol/internal/lp"
 )
 
 // TransformKind distinguishes the DAG rewrites of §3.4.
@@ -54,11 +53,6 @@ type ManageOptions struct {
 	// SkipLP disables the LP fallback between DAGSolve and the DAG
 	// transforms (useful in benchmarks isolating DAGSolve).
 	SkipLP bool
-	// Avail resolves constrained-input availability when g already
-	// contains constrained inputs; nil selects StaticAvailability.
-	Avail Availability
-	// LP configures the fallback LP solver.
-	LP lp.Options
 }
 
 // ManageResult is the outcome of Manage.
@@ -100,10 +94,7 @@ func Manage(g *dag.Graph, cfg Config, opts ManageOptions) (*ManageResult, error)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	avail := opts.Avail
-	if avail == nil {
-		avail = StaticAvailability(cfg)
-	}
+	avail := StaticAvailability(cfg)
 	res := &ManageResult{}
 	tracef := func(format string, args ...any) {
 		res.Trace = append(res.Trace, fmt.Sprintf(format, args...))
@@ -121,8 +112,8 @@ func Manage(g *dag.Graph, cfg Config, opts ManageOptions) (*ManageResult, error)
 			return nil, err
 		}
 		res.Graph = cur
-		if cfg.MaxFluidNodes > 0 && wetNodeCount(cur) > cfg.MaxFluidNodes {
-			tracef("transformed DAG has %d wet nodes > limit %d", wetNodeCount(cur), cfg.MaxFluidNodes)
+		if cfg.MaxFluidNodes > 0 && WetNodeCount(cur) > cfg.MaxFluidNodes {
+			tracef("transformed DAG has %d wet nodes > limit %d", WetNodeCount(cur), cfg.MaxFluidNodes)
 			return res, ErrResourceLimit
 		}
 
@@ -186,7 +177,7 @@ func replay(g *dag.Graph, ts []Transform) (*dag.Graph, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := cur.Replicate(n, t.Copies, balancedAssign(n, vn, t.Copies)); err != nil {
+			if _, err := cur.Replicate(n, t.Copies, BalancedAssign(n, vn, t.Copies)); err != nil {
 				return nil, err
 			}
 		}
@@ -194,10 +185,11 @@ func replay(g *dag.Graph, ts []Transform) (*dag.Graph, error) {
 	return cur, nil
 }
 
-// balancedAssign distributes a node's outbound uses across replicas so that
+// BalancedAssign distributes a node's outbound uses across replicas so that
 // per-replica Vnorm load is as even as possible: edges are taken in
-// descending Vnorm order and placed on the least-loaded replica.
-func balancedAssign(n *dag.Node, vn *Vnorms, copies int) func(*dag.Edge) int {
+// descending Vnorm order and placed on the least-loaded replica. It is
+// the assignment Manage replicates with, for Graph.Replicate.
+func BalancedAssign(n *dag.Node, vn *Vnorms, copies int) func(*dag.Edge) int {
 	type load struct {
 		idx int
 		sum float64
@@ -234,16 +226,11 @@ func balancedAssign(n *dag.Node, vn *Vnorms, copies int) func(*dag.Edge) int {
 // numerous uses (replicate the dispensing bottleneck, i.e. the node with
 // the largest Vnorm).
 func diagnose(plan *Plan, g *dag.Graph, cfg Config) (Transform, string, bool) {
-	edge, _ := plan.MinDispense()
-	if edge != nil {
+	if edge, _ := plan.MinDispense(); edge != nil {
 		n := edge.To
-		skew := dag.ExtremeRatio(n)
-		if n.Kind == dag.Mix && len(n.In()) == 2 && skew > cfg.cascadeTrigger() && !cascadeForbidden(n) {
-			levels := dag.CascadeLevels(skew, cfg.cascadeTrigger())
-			if levels >= 2 {
-				return Transform{Kind: TransformCascade, Node: n.ID(), Levels: levels},
-					fmt.Sprintf("mix %s skew %.3g exceeds trigger %.3g", n.Name, skew, cfg.cascadeTrigger()), true
-			}
+		if levels := CascadeDepth(n, cfg.TriggerSkew()); levels > 0 {
+			return Transform{Kind: TransformCascade, Node: n.ID(), Levels: levels},
+				fmt.Sprintf("mix %s skew %.3g exceeds trigger %.3g", n.Name, dag.ExtremeRatio(n), cfg.TriggerSkew()), true
 		}
 	}
 	// Replicate the bottleneck: largest-Vnorm node that can be replicated.
@@ -274,9 +261,22 @@ func diagnose(plan *Plan, g *dag.Graph, cfg Config) (Transform, string, bool) {
 	return Transform{}, "no cascade target and no replicable bottleneck", false
 }
 
-// cascadeForbidden reports whether the mix involves fluids for which
-// excess production is disallowed.
-func cascadeForbidden(n *dag.Node) bool {
+// CascadeDepth is the one rule for when a mix is cascaded (§3.4.1): the
+// depth dag.CascadeLevels picks to bring two-part mix n's stages under
+// the skew bound, or 0 when the mix already fits, no supported depth
+// fits, n is not a two-part mix, or CascadeForbidden(n). The Fig. 6
+// hierarchy cascades with bound Config.TriggerSkew; a mix needs
+// cascading to execute at all with bound Config.MaxSkew.
+func CascadeDepth(n *dag.Node, bound float64) int {
+	if n.Kind != dag.Mix || len(n.In()) != 2 || CascadeForbidden(n) {
+		return 0
+	}
+	return dag.CascadeLevels(dag.ExtremeRatio(n), bound)
+}
+
+// CascadeForbidden reports whether the mix involves fluids for which
+// excess production is disallowed (NOEXCESS), so it is never cascaded.
+func CascadeForbidden(n *dag.Node) bool {
 	if n.NoExcess {
 		return true
 	}
@@ -288,9 +288,9 @@ func cascadeForbidden(n *dag.Node) bool {
 	return false
 }
 
-// wetNodeCount counts nodes that occupy fluidic resources (everything but
-// synthetic bookkeeping sinks).
-func wetNodeCount(g *dag.Graph) int {
+// WetNodeCount counts nodes that occupy fluidic resources (everything but
+// synthetic bookkeeping sinks), the count Config.MaxFluidNodes bounds.
+func WetNodeCount(g *dag.Graph) int {
 	c := 0
 	for _, n := range g.Nodes() {
 		if n != nil && n.Kind != dag.Excess {

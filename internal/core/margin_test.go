@@ -138,7 +138,8 @@ func TestMarginValidation(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Errorf("SafetyMargin=0.5 must validate: %v", err)
 	}
-	if _, err := core.ComputeVnormsMargin(assays.GlucoseDAG(), -0.5); err == nil {
-		t.Error("ComputeVnormsMargin(-0.5) must fail")
+	c.SafetyMargin = -0.5
+	if _, err := core.DAGSolve(assays.GlucoseDAG(), c, nil); err == nil {
+		t.Error("DAGSolve with SafetyMargin -0.5 must fail")
 	}
 }

@@ -143,7 +143,7 @@ func (p *Plan) checkMinimums(cfg Config) {
 		if n == nil || n.IsSource() {
 			continue
 		}
-		if min := cfg.minForNode(n); min > cfg.LeastCount {
+		if min := cfg.MinFor(n); min > cfg.LeastCount {
 			if v := p.NodeVolume[n.ID()]; v < min-volTol {
 				p.Underflows = append(p.Underflows, Underflow{
 					Edge: -1, Node: n.ID(), Volume: v, Minimum: min,

@@ -3,6 +3,7 @@ package dag
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -305,7 +306,7 @@ func keyString(set map[int]bool) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%d", id)
+		b.WriteString(strconv.Itoa(id))
 	}
 	return b.String()
 }

@@ -362,6 +362,46 @@ func countDirectives(t *testing.T, root string) int {
 	return count
 }
 
+// TestNoTrustedEffectsOutsideFluidvet keeps every certificate resting on
+// inference alone: a //fluidvet:effect directive is an audited assertion
+// the analyzer trusts without proof, so no Go file outside fluidvet's own
+// code and testdata fixtures may carry one. Adding a trusted assertion
+// anywhere else needs a reviewed change to this test.
+func TestNoTrustedEffectsOutsideFluidvet(t *testing.T) {
+	root := filepath.Join("..", "..")
+	own := filepath.Join(root, "internal", "fluidvet")
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == "testdata" || d.Name() == ".git" || path == own {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if strings.HasPrefix(c.Text, "//fluidvet:effect") {
+					t.Errorf("%s: trusted effect assertion outside internal/fluidvet: %s", fset.Position(c.Pos()), c.Text)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCertifiedListMatchesREADME gates the documentation: every
 // certified entry point must appear (by FullName) in the README's
 // parallel-safety section, so the published table and the enforced list

@@ -19,6 +19,10 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden transcripts from the current code")
 
+// Updating reports whether the tests run with -update, for golden
+// files a test compares by itself.
+func Updating() bool { return *update }
+
 // digestOver is the size above which a section is recorded as its
 // SHA-256 digest instead of its text.
 const digestOver = 16 << 10

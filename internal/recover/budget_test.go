@@ -20,7 +20,7 @@ import (
 func TestCancelDuringBackoffAbortsPromptly(t *testing.T) {
 	ep, plan, cg := compileGlucose(t)
 	meter := budget.New(0)
-	cfg := aquacore.Config{
+	m := machineWith(aquacore.Config{
 		// FailRate 1: every wet attempt transiently fails, so the retry
 		// loop keeps cycling until the cancel lands.
 		Faults: faults.New(faults.Profile{FailRate: 1}, 3),
@@ -29,16 +29,11 @@ func TestCancelDuringBackoffAbortsPromptly(t *testing.T) {
 				meter.Cancel()
 			}
 		},
-	}
-	m := aquacore.New(cfg, ep.Graph, aquacore.PlanSource{Plan: plan})
-	dry := map[string]float64{}
-	for slot, v := range ep.Init {
-		dry[ep.Slots[slot]] = v
-	}
-	m.SetDry(dry)
+		Budget: meter,
+	}, ep, plan)
 
 	out := recovery.Run(m, cg.Prog, &recovery.Compiled{Graph: ep.Graph, Clusters: cg.Clusters, VesselOf: cg.VesselOf},
-		recovery.Options{Budget: meter})
+		recovery.Options{})
 	if out.Status != recovery.Aborted {
 		t.Fatalf("status = %v, want aborted (%s)", out.Status, out.Summary())
 	}
@@ -61,9 +56,9 @@ func TestCancelAtInstructionBoundary(t *testing.T) {
 	ep, plan, cg := compileGlucose(t)
 	meter := budget.New(0)
 	meter.Cancel()
-	m := newMachine(ep, plan, faults.Profile{}, 0, nil)
+	m := machineWith(aquacore.Config{Budget: meter}, ep, plan)
 	out := recovery.Run(m, cg.Prog, &recovery.Compiled{Graph: ep.Graph, Clusters: cg.Clusters, VesselOf: cg.VesselOf},
-		recovery.Options{Budget: meter})
+		recovery.Options{})
 	if out.Status != recovery.Aborted || !errors.Is(out.Err, budget.ErrCancelled) {
 		t.Fatalf("pre-cancelled run: status %v err %v, want aborted/ErrCancelled", out.Status, out.Err)
 	}
@@ -78,13 +73,7 @@ func TestCancelAtInstructionBoundary(t *testing.T) {
 func TestCancelWritesNoOutcomeRecord(t *testing.T) {
 	ep, plan, cg := compileGlucose(t)
 	meter := budget.New(0).CancelAfter(5)
-	cfg := aquacore.Config{Budget: meter}
-	m := aquacore.New(cfg, ep.Graph, aquacore.PlanSource{Plan: plan})
-	dry := map[string]float64{}
-	for slot, v := range ep.Init {
-		dry[ep.Slots[slot]] = v
-	}
-	m.SetDry(dry)
+	m := machineWith(aquacore.Config{Budget: meter}, ep, plan)
 
 	path := filepath.Join(t.TempDir(), "cancel.aqj")
 	jw, f, err := journal.Create(vfs.OS{}, path, false)
@@ -92,7 +81,7 @@ func TestCancelWritesNoOutcomeRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := recovery.Run(m, cg.Prog, &recovery.Compiled{Graph: ep.Graph, Clusters: cg.Clusters, VesselOf: cg.VesselOf},
-		recovery.Options{Budget: meter, Journal: jw})
+		recovery.Options{Journal: jw})
 	if err := f.Close(); err != nil { //fluidvet:allow syncerr test fixture closes after the run's own syncs
 		t.Fatal(err)
 	}

@@ -111,15 +111,6 @@ type Options struct {
 	// RetriesPerInstr bounds re-attempts of a single failed instruction
 	// (default 3).
 	RetriesPerInstr int
-	// Budget, when non-nil, is polled at every instruction boundary and
-	// between retry-backoff idles: a tripped meter fail-stops the run
-	// exactly like a crash — Aborted outcome, typed cause in Outcome.Err,
-	// and (under Journal) NO outcome record, leaving the journal
-	// resumable so the salvaged prefix completes bit-identically later.
-	// The meter is polled, never charged, here: the machine charges per
-	// executed instruction through its own aquacore.Config.Budget (wire
-	// the same meter into both for whole-run bounds).
-	Budget *budget.Meter
 	// DisableRetry turns off in-place retries.
 	DisableRetry bool
 	// DisableRegen turns off shortfall regeneration.
@@ -243,6 +234,13 @@ type Compiled struct {
 
 // Run executes prog on m with retry, replanning, and regeneration
 // repair, bounded and selected per opts.
+//
+// Cancellation: the machine's run meter (m.Meter, its
+// aquacore.Config.Budget) is polled at every instruction boundary and
+// between retry-backoff idles. A tripped meter fail-stops the run
+// exactly like a crash — Aborted outcome, typed cause in Outcome.Err,
+// and (under Journal) no outcome record, leaving the journal resumable
+// so the salvaged prefix completes bit-identically later.
 //
 // Determinism: repair decisions depend only on machine state and events,
 // which are themselves deterministic in (listing, plan, seed, profile), so
@@ -370,7 +368,7 @@ func run(m *aquacore.Machine, prog *ais.Program, c *Compiled,
 		// Poll for cancellation/deadline at the instruction boundary —
 		// before the snapshot, so a tripped budget stops without another
 		// record and the journal's last frame stays the resume point.
-		if err := opt.Budget.Err(); err != nil {
+		if err := m.Meter().Err(); err != nil {
 			return abort(err)
 		}
 		in := prog.Instrs[pc]
@@ -453,7 +451,7 @@ func run(m *aquacore.Machine, prog *ais.Program, c *Compiled,
 			// Cancellation between backoff sleeps: a cancel that lands
 			// during one idle is observed before the next, never swallowed
 			// by an uncancellable sleep chain.
-			if err := opt.Budget.Err(); err != nil {
+			if err := m.Meter().Err(); err != nil {
 				return abort(err)
 			}
 			if opt.DisableRetry || attempts >= opt.RetriesPerInstr || out.Retries >= totalRetries {

@@ -42,6 +42,12 @@ func newMachine(ep *elab.Program, plan *core.Plan, p faults.Profile, seed int64,
 			*trace = append(*trace, fmt.Sprintf("%+v", e))
 		}
 	}
+	return machineWith(cfg, ep, plan)
+}
+
+// machineWith builds a machine under cfg for the plan, with the
+// program's dry inputs loaded.
+func machineWith(cfg aquacore.Config, ep *elab.Program, plan *core.Plan) *aquacore.Machine {
 	m := aquacore.New(cfg, ep.Graph, aquacore.PlanSource{Plan: plan})
 	dry := map[string]float64{}
 	for slot, v := range ep.Init {
