@@ -38,6 +38,17 @@ echo "wrote fluidvet-findings.json ($(wc -c <fluidvet-findings.json) bytes)"
 echo "== go build =="
 go build ./...
 
+echo "== examples =="
+# Every example runs once, end to end: a walkthrough that stops
+# building, fails, or simulates with volume events fails the gate.
+for ex in examples/*; do
+    out=$(go run "./$ex")
+    if printf '%s\n' "$out" | grep -q 'clean=false'; then
+        echo "$ex: simulation not clean" >&2
+        exit 1
+    fi
+done
+
 echo "== perfbench compiles against this tree =="
 # perfbench is its own module (aquavol replaced by ..), so go build ./...
 # above skips it; vet type-checks it without leaving a binary behind.

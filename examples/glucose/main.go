@@ -18,9 +18,9 @@ import (
 
 	"aquavol/internal/aquacore"
 	"aquavol/internal/assays"
-	"aquavol/internal/codegen"
 	"aquavol/internal/core"
 	"aquavol/internal/lang"
+	"aquavol/internal/pipeline"
 )
 
 func main() {
@@ -28,31 +28,33 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := core.DefaultConfig()
-	plan, err := core.DAGSolve(ep.Graph, cfg, nil)
+	// The compile fluidc and fluidvm run: plan, certify, generate, verify.
+	res, err := pipeline.Build(ep, pipeline.Options{Config: core.DefaultConfig()})
 	if err != nil {
 		log.Fatal(err)
+	}
+	if res.Findings.HasErrors() {
+		log.Fatal(res.Findings)
 	}
 	fmt.Println("--- volume plan ---")
-	fmt.Print(plan)
+	fmt.Print(res.Plan)
 
-	cg, err := codegen.Generate(ep, ep.Graph, codegen.Config{})
+	fmt.Println("\n--- AIS listing (compare paper Fig. 9b) ---")
+	fmt.Print(res.Prog)
+
+	m, err := res.Machine(aquacore.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\n--- AIS listing (compare paper Fig. 9b) ---")
-	fmt.Print(cg.Prog)
-
-	m := aquacore.New(aquacore.Config{}, ep.Graph, aquacore.PlanSource{Plan: plan})
-	res, err := m.Run(cg.Prog)
+	run, err := m.Run(res.Prog)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\n--- simulation ---")
 	fmt.Printf("wet %d instrs / %.0f s, dry %d instrs / %.3g s, clean=%v\n",
-		res.WetInstrs, res.WetSeconds, res.DryInstrs, res.DrySeconds, res.Clean())
+		run.WetInstrs, run.WetSeconds, run.DryInstrs, run.DrySeconds, run.Clean())
 	for i := 1; i <= 5; i++ {
 		key := fmt.Sprintf("Result[%d]", i)
-		fmt.Printf("%s = %.2f (sensed volume, nl)\n", key, res.Dry[key])
+		fmt.Printf("%s = %.2f (sensed volume, nl)\n", key, run.Dry[key])
 	}
 }

@@ -19,9 +19,9 @@ import (
 
 	"aquavol/internal/aquacore"
 	"aquavol/internal/assays"
-	"aquavol/internal/codegen"
 	"aquavol/internal/core"
 	"aquavol/internal/lang"
+	"aquavol/internal/pipeline"
 )
 
 func main() {
@@ -29,11 +29,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := core.DefaultConfig()
-	sp, err := core.NewStagedPlan(ep.Graph, cfg)
+	// The compile fluidc and fluidvm run: partition, solve and certify
+	// the static parts, generate, verify.
+	res, err := pipeline.Build(ep, pipeline.Options{Config: core.DefaultConfig()})
 	if err != nil {
 		log.Fatal(err)
 	}
+	if res.Findings.HasErrors() {
+		log.Fatal(res.Findings)
+	}
+	sp := res.Staged
 
 	fmt.Printf("partitions: %d (paper Fig. 13: 4)\n", sp.NumParts())
 	for _, b := range sp.Partition.Bindings {
@@ -48,31 +53,21 @@ func main() {
 		fmt.Printf("  part %d gets %-22s share %.2f  Vnorm %.5f  from %s (%s)\n",
 			b.Part, ci.Name, b.Share, sp.Vnorms[b.Part].Node[b.NodeID], src.Name, kind)
 	}
-
-	done, err := sp.SolveStatic()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("solved at compile time: parts %v; the rest wait for measurements\n\n", done)
+	fmt.Printf("solved at compile time: parts %v; the rest wait for measurements\n\n", res.Static)
 
 	// Execute: the machine measures each separation (yield 50% here) and
-	// the StagedSource solves the next partition on the fly.
-	src, err := aquacore.NewStagedSource(sp, nil)
+	// its StagedSource solves and certifies the next partition on the fly.
+	m, err := res.Machine(aquacore.Config{SeparationYield: 0.5})
 	if err != nil {
 		log.Fatal(err)
 	}
-	cg, err := codegen.Generate(ep, ep.Graph, codegen.Config{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	m := aquacore.New(aquacore.Config{SeparationYield: 0.5}, ep.Graph, src)
-	res, err := m.Run(cg.Prog)
+	run, err := m.Run(res.Prog)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("simulation: %d wet instrs, %.0f s fluidic time, clean=%v\n",
-		res.WetInstrs, res.WetSeconds, res.Clean())
-	for i, p := range src.Plans() {
+		run.WetInstrs, run.WetSeconds, run.Clean())
+	for i, p := range m.Source().(*aquacore.StagedSource).Plans() {
 		state := "solved"
 		if p == nil {
 			state = "never needed"

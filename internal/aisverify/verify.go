@@ -21,6 +21,7 @@ import (
 	"math"
 
 	"aquavol/internal/ais"
+	"aquavol/internal/aquacore"
 	"aquavol/internal/core"
 	"aquavol/internal/diag"
 	"aquavol/internal/lang/token"
@@ -101,11 +102,8 @@ type Options struct {
 	// compile-time Init values the runtime presets via SetDry).
 	DefinedRegs []string
 	// SeparationYield is the effluent fraction the machine's separations
-	// produce. 0 selects the machine default 0.4.
+	// produce. 0 selects the machine's aquacore.DefaultSeparationYield.
 	SeparationYield float64
-	// ConcentrateYield is the volume fraction surviving concentration.
-	// 0 selects the machine default 0.5.
-	ConcentrateYield float64
 }
 
 // eps matches the machine's volume tolerance (volTol in aquacore).
@@ -153,10 +151,7 @@ func Verify(p *ais.Program, opts Options) diag.List {
 		opts.Config = core.DefaultConfig()
 	}
 	if opts.SeparationYield == 0 {
-		opts.SeparationYield = 0.4
-	}
-	if opts.ConcentrateYield == 0 {
-		opts.ConcentrateYield = 0.5
+		opts.SeparationYield = aquacore.DefaultSeparationYield
 	}
 	v := &verifier{
 		prog:  p,
@@ -479,7 +474,7 @@ func (v *verifier) transfer(pc int, st *state, emit emitFn) {
 	case ais.Concentrate:
 		unit := id[0]
 		cur := st.get(unit)
-		st.set(unit, itv{cur.lo * v.opts.ConcentrateYield, cur.hi * v.opts.ConcentrateYield})
+		st.set(unit, itv{cur.lo * aquacore.ConcentrateYield, cur.hi * aquacore.ConcentrateYield})
 	case ais.SeparateCE, ais.SeparateSize, ais.SeparateAF, ais.SeparateLC:
 		if in.Op == ais.SeparateAF || in.Op == ais.SeparateLC {
 			if m := st.get(id[portMatrix]); m.hi <= eps {

@@ -25,28 +25,34 @@ import (
 	"aquavol/internal/faults"
 )
 
+// The machine's fixed timing: each wet move, input or output takes
+// moveSeconds of fluidic time plus any programmed duration, a sense takes
+// senseSeconds, and a dry instruction drySeconds (the paper's
+// orders-of-magnitude-faster electronic control).
+const (
+	moveSeconds  = 1
+	senseSeconds = 1
+	drySeconds   = 1e-6
+)
+
+// DefaultSeparationYield is the effluent fraction separations produce
+// when Config.SeparationYield is 0, and ConcentrateYield the volume
+// fraction surviving concentration. aisverify models the machine with
+// both.
+const (
+	DefaultSeparationYield = 0.4
+	ConcentrateYield       = 0.5
+)
+
 // Config parameterizes the machine.
 type Config struct {
 	// Volume carries the capacity and least-count parameters shared with
 	// the volume manager.
 	Volume core.Config
-	// MoveSeconds is the fluid-transport time per wet move/input/output
-	// instruction. 0 selects 1 s.
-	MoveSeconds float64
-	// SenseSeconds is the sensing time. 0 selects 1 s.
-	SenseSeconds float64
-	// DrySeconds is the electronic time per dry instruction. 0 selects
-	// 1 µs (the paper's orders-of-magnitude-faster control).
-	DrySeconds float64
 	// SeparationYield is the effluent fraction separations produce at run
-	// time (the quantity the paper's hardware measures). 0 selects 0.4.
+	// time (the quantity the paper's hardware measures). 0 selects
+	// DefaultSeparationYield.
 	SeparationYield float64
-	// ConcentrateYield is the volume fraction surviving concentration.
-	// 0 selects 0.5.
-	ConcentrateYield float64
-	// Sense computes a sensor reading from vessel contents. nil selects
-	// the total volume in nanoliters (deterministic and plan-checkable).
-	Sense func(volume float64, composition map[string]float64, op ais.Opcode) float64
 	// Trace, when non-nil, receives one entry per executed instruction
 	// with the volumes of the instruction's vessels before and after the
 	// step — the concrete replay channel for aisverify findings
@@ -98,20 +104,8 @@ func (c Config) withDefaults() Config {
 	if c.Volume.MaxCapacity == 0 {
 		c.Volume = core.DefaultConfig()
 	}
-	if c.MoveSeconds == 0 {
-		c.MoveSeconds = 1
-	}
-	if c.SenseSeconds == 0 {
-		c.SenseSeconds = 1
-	}
-	if c.DrySeconds == 0 {
-		c.DrySeconds = 1e-6
-	}
 	if c.SeparationYield == 0 {
-		c.SeparationYield = 0.4
-	}
-	if c.ConcentrateYield == 0 {
-		c.ConcentrateYield = 0.5
+		c.SeparationYield = DefaultSeparationYield
 	}
 	return c
 }
@@ -819,7 +813,7 @@ func (m *Machine) step(pc int, in ais.Instr, prog *ais.Program, pcOut *int) (jum
 	}
 	dry := func() {
 		m.res.DryInstrs++
-		m.res.DrySeconds += cfg.DrySeconds
+		m.res.DrySeconds += drySeconds
 	}
 
 	switch in.Op {
@@ -827,8 +821,8 @@ func (m *Machine) step(pc int, in ais.Instr, prog *ais.Program, pcOut *int) (jum
 		dry()
 	case ais.Halt:
 	case ais.Input:
-		wet(cfg.MoveSeconds)
-		attr("transport", cfg.MoveSeconds)
+		wet(moveSeconds)
+		attr("transport", moveSeconds)
 		dstName, _ := operandVessel(in.Operands[0])
 		vol := cfg.Volume.MaxCapacity
 		if v, ok := m.patches[pc]; ok {
@@ -855,8 +849,8 @@ func (m *Machine) step(pc int, in ais.Instr, prog *ais.Program, pcOut *int) (jum
 		dst.add(vol, []part{{fluid: name, nl: vol}})
 		m.res.InputNl += vol
 	case ais.Move, ais.MoveAbs:
-		wet(cfg.MoveSeconds)
-		attr("transport", cfg.MoveSeconds)
+		wet(moveSeconds)
+		attr("transport", moveSeconds)
 		dstName, ok := operandVessel(in.Operands[0])
 		if !ok {
 			return false, fmt.Errorf("aquacore: pc %d: bad move destination", pc)
@@ -891,8 +885,8 @@ func (m *Machine) step(pc int, in ais.Instr, prog *ais.Program, pcOut *int) (jum
 			m.event(EventOverflow, pc, in, "%s at %.4g nl exceeds capacity %.4g nl", dstName, dstV.vol, cfg.Volume.MaxCapacity)
 		}
 	case ais.Output:
-		wet(cfg.MoveSeconds)
-		attr("transport", cfg.MoveSeconds)
+		wet(moveSeconds)
+		attr("transport", moveSeconds)
 		srcName, ok := operandVessel(in.Operands[1])
 		if !ok {
 			return false, fmt.Errorf("aquacore: pc %d: bad output source", pc)
@@ -912,22 +906,22 @@ func (m *Machine) step(pc int, in ais.Instr, prog *ais.Program, pcOut *int) (jum
 			Port: port, Volume: delivered, Composition: composition(m.drawn),
 		})
 	case ais.Mix:
-		wet(cfg.MoveSeconds + immOperand(in, 1))
-		attr("transport", cfg.MoveSeconds)
+		wet(moveSeconds + immOperand(in, 1))
+		attr("transport", moveSeconds)
 		attr(in.Operands[0].Name, immOperand(in, 1))
 		if m.flt != nil && m.flt.Fails() {
 			m.event(EventFUFailure, pc, in, "transient FU failure: %s did not run", in.Operands[0].Name)
 		}
 	case ais.Incubate:
-		wet(cfg.MoveSeconds + immOperand(in, 2))
-		attr("transport", cfg.MoveSeconds)
+		wet(moveSeconds + immOperand(in, 2))
+		attr("transport", moveSeconds)
 		attr(in.Operands[0].Name, immOperand(in, 2))
 		if m.flt != nil && m.flt.Fails() {
 			m.event(EventFUFailure, pc, in, "transient FU failure: %s did not run", in.Operands[0].Name)
 		}
 	case ais.Concentrate:
-		wet(cfg.MoveSeconds + immOperand(in, 2))
-		attr("transport", cfg.MoveSeconds)
+		wet(moveSeconds + immOperand(in, 2))
+		attr("transport", moveSeconds)
 		attr(in.Operands[0].Name, immOperand(in, 2))
 		if m.flt != nil && m.flt.Fails() {
 			// Nothing concentrated, nothing measured: the sample stays in
@@ -937,15 +931,15 @@ func (m *Machine) step(pc int, in ais.Instr, prog *ais.Program, pcOut *int) (jum
 		}
 		name, _ := operandVessel(in.Operands[0])
 		v := m.vessel(name)
-		kept := v.vol * cfg.ConcentrateYield
+		kept := v.vol * ConcentrateYield
 		m.drawn = v.draw(v.vol-kept, m.drawn[:0])
 		if in.Node >= 0 && m.src != nil {
 			m.measured(in.Node, dag.PortDefault, v.vol)
 			m.noteSolveErrors(pc, in)
 		}
 	case ais.SeparateAF, ais.SeparateLC, ais.SeparateCE, ais.SeparateSize:
-		wet(cfg.MoveSeconds + immOperand(in, 1))
-		attr("transport", cfg.MoveSeconds)
+		wet(moveSeconds + immOperand(in, 1))
+		attr("transport", moveSeconds)
 		attr(in.Operands[0].Name, immOperand(in, 1))
 		unit := in.Operands[0].Name
 		if m.flt != nil && m.flt.Fails() {
@@ -978,16 +972,13 @@ func (m *Machine) step(pc int, in ais.Instr, prog *ais.Program, pcOut *int) (jum
 			m.noteSolveErrors(pc, in)
 		}
 	case ais.SenseOD, ais.SenseFL:
-		wet(cfg.SenseSeconds)
-		attr(in.Operands[0].Name, cfg.SenseSeconds)
+		wet(senseSeconds)
+		attr(in.Operands[0].Name, senseSeconds)
 		unitName, _ := operandVessel(in.Operands[0])
 		v := m.vessel(unitName)
-		var reading float64
-		if cfg.Sense != nil {
-			reading = cfg.Sense(v.vol, composition(v.parts), in.Op)
-		} else {
-			reading = v.vol
-		}
+		// A sensor reads its chamber's total volume in nanoliters, which
+		// keeps readings deterministic and plan-checkable.
+		reading := v.vol
 		if m.flt != nil {
 			reading = m.flt.Sense(reading)
 		}

@@ -63,9 +63,9 @@ func (IntPlanSource) Measured(int, string, float64) {}
 // separation outputs, successive partitions are solved and their absolute
 // volumes become available (§3.5).
 type StagedSource struct {
-	sp       *core.StagedPlan
-	measured map[[2]any]float64
-	localOf  map[int][2]int // orig node id -> (part, local id)
+	sp *core.StagedPlan
+	// measured holds the run's measurements by producer node and port.
+	measured map[fluidPort]float64
 	// solveErrs records SolvePart failures in arrival order. The machine
 	// surfaces them as EventSolveFailed events and appends the latest to
 	// any "missing volume" error, so the root cause is never masked.
@@ -101,15 +101,9 @@ func (s *StagedSource) SolveErrors() []error { return s.solveErrs }
 func NewStagedSource(sp *core.StagedPlan, check CertifyPart) (*StagedSource, error) {
 	s := &StagedSource{
 		sp:        sp,
-		measured:  map[[2]any]float64{},
-		localOf:   map[int][2]int{},
+		measured:  map[fluidPort]float64{},
 		check:     check,
 		condemned: map[int]bool{},
-	}
-	for pi, m := range sp.Partition.OrigOf {
-		for local, orig := range m {
-			s.localOf[orig] = [2]int{pi, local}
-		}
 	}
 	done, err := sp.SolveStatic()
 	if err != nil {
@@ -145,7 +139,7 @@ func (s *StagedSource) EdgeVolume(edgeID int) (float64, bool) {
 
 // NodeVolume implements VolumeSource.
 func (s *StagedSource) NodeVolume(nodeID int) (float64, bool) {
-	loc, ok := s.localOf[nodeID]
+	loc, ok := s.sp.Partition.NodeOf[nodeID]
 	if !ok || s.condemned[loc[0]] {
 		return 0, false // e.g. a split natural input: load full capacity
 	}
@@ -165,64 +159,42 @@ func (s *StagedSource) Awaiting(edgeID int) (node int, port string, ok bool) {
 	if !ok {
 		return 0, "", false
 	}
-	return s.awaitingPart(loc[0])
+	for part := loc[0]; ; {
+		b, waiting := s.sp.Waiting(part, s.measure)
+		switch {
+		case !waiting:
+			return 0, "", false
+		case b.SourceUnknown:
+			return b.SourceID, b.SourcePort, true
+		}
+		// Parts are in dependency order, so the walk back ends.
+		part = b.SourcePart
+	}
 }
 
-func (s *StagedSource) awaitingPart(part int) (node int, port string, ok bool) {
-	for _, b := range s.sp.Partition.Bindings {
-		if b.Part != part {
-			continue
-		}
-		switch {
-		case b.SourceUnknown:
-			if _, measured := s.measured[[2]any{b.SourceID, b.SourcePort}]; !measured {
-				return b.SourceID, b.SourcePort, true
-			}
-		case b.SourcePart >= 0 && b.SourcePart < part:
-			// Parts are in dependency order, so the walk back ends.
-			if _, produced := s.sp.Produced(b.SourceID); !produced {
-				if node, port, ok := s.awaitingPart(b.SourcePart); ok {
-					return node, port, true
-				}
-			}
-		}
-	}
-	return 0, "", false
+// fluidPort keys a measurement by producer node and port.
+type fluidPort struct {
+	node int
+	port string
+}
+
+// measure reports a measurement the run has taken: the core.Measure its
+// partitions wait on and are solved with.
+func (s *StagedSource) measure(node int, port string) (float64, bool) {
+	v, ok := s.measured[fluidPort{node, port}]
+	return v, ok
 }
 
 // Measured implements VolumeSource: records the measurement and solves
 // every partition whose inputs have become available.
 func (s *StagedSource) Measured(nodeID int, port string, volume float64) {
-	s.measured[[2]any{nodeID, port}] = volume
-	measure := func(orig int, p string) (float64, bool) {
-		v, ok := s.measured[[2]any{orig, p}]
-		return v, ok
-	}
+	s.measured[fluidPort{nodeID, port}] = volume
+	measure := s.measure
 	for i := 0; i < s.sp.NumParts(); i++ {
 		if s.sp.Plans[i] != nil {
 			continue
 		}
-		ready := true
-		for _, b := range s.sp.Partition.Bindings {
-			if b.Part != i {
-				continue
-			}
-			switch {
-			case b.SourceUnknown:
-				if _, ok := measure(b.SourceID, b.SourcePort); !ok {
-					ready = false
-				}
-			case b.SourcePart >= 0:
-				// A cut known-volume source: defer until its part solved.
-				if _, ok := s.sp.Produced(b.SourceID); !ok {
-					ready = false
-				}
-			}
-			if !ready {
-				break
-			}
-		}
-		if !ready {
+		if _, waiting := s.sp.Waiting(i, measure); waiting {
 			continue
 		}
 		plan, err := s.sp.SolvePart(i, measure)

@@ -216,7 +216,7 @@ func residualMutants(rp *core.ResidualPlan, c core.Config) []certifyMutant {
 		ms = append(ms,
 			certifyMutant{cse, "edge-volume", check(func(p *core.Plan) { p.EdgeVolume[id] += 0.5 })})
 	}
-	for _, b := range rp.Residual.Boundaries {
+	for _, b := range rp.Residual.Bindings {
 		b := b
 		ms = append(ms, certifyMutant{cse, "live", func() error {
 			shrunk := func(id int, port string) (float64, bool) {

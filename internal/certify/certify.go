@@ -560,29 +560,18 @@ func checkLP(p *core.Plan, cfg core.Config, avail core.Availability) error {
 
 // CheckResidual certifies a residual replan against the live vessel
 // volumes it was solved from: the full CheckPlan battery over the
-// residual graph, with availability resolved through the residual's
-// boundaries exactly as core.SolveResidual resolved it.
+// residual graph, under core.ResidualAvailability, the availability
+// core.SolveResidual solved it under.
 //
 // CheckResidual is certified parallel-safe: concurrent certifications
 // are race-free provided the live callback is.
 //
 //fluidvet:parallelsafe
-func CheckResidual(rp *core.ResidualPlan, cfg core.Config, live core.LiveVolume) error {
+func CheckResidual(rp *core.ResidualPlan, cfg core.Config, live core.Measure) error {
 	if rp == nil || rp.Plan == nil || rp.Residual == nil {
 		return &Violation{Cause: ErrShape, Check: "residual/shape", Where: "replan", Detail: "missing plan or residual"}
 	}
-	bound := make(map[int]dag.ResidualBoundary, len(rp.Residual.Boundaries))
-	for _, b := range rp.Residual.Boundaries {
-		bound[b.CINode] = b
-	}
-	avail := func(ci *dag.Node) (float64, bool) {
-		b, ok := bound[ci.ID()]
-		if !ok {
-			return 0, false
-		}
-		return live(b.SourceID, b.SourcePort)
-	}
-	return CheckPlan(rp.Plan, cfg, avail)
+	return CheckPlan(rp.Plan, cfg, core.ResidualAvailability(rp.Residual, cfg, live))
 }
 
 // CheckPatches certifies the instruction patch map derived from a

@@ -112,12 +112,10 @@ func TestStagedPartsCertify(t *testing.T) {
 		return v, ok
 	}
 	for i := 0; i < sp.NumParts(); i++ {
-		if !sp.Static(i) {
-			// Feed the separator's unknown effluents a plausible reading.
-			for _, b := range sp.Partition.Bindings {
-				if b.Part == i && b.SourceUnknown {
-					measured[b.SourceID] = 40
-				}
+		// Feed the separator's unknown effluents a plausible reading.
+		for _, b := range sp.Partition.Bindings {
+			if b.Part == i && b.SourceUnknown {
+				measured[b.SourceID] = 40
 			}
 		}
 		plan, err := sp.SolvePart(i, measure)

@@ -20,13 +20,15 @@ import (
 	"aquavol/internal/lang/token"
 )
 
+// numSeparators is the number of distinct separator units separations
+// rotate through.
+const numSeparators = 2
+
 // Config sets the PLoC resource envelope code generation targets.
 type Config struct {
 	// NumReservoirs bounds simultaneously-live stored fluids. 0 selects
 	// 64.
 	NumReservoirs int
-	// NumSeparators bounds distinct separator units. 0 selects 2.
-	NumSeparators int
 	// ReuseReservoirs lets dead fluids' reservoirs be re-allocated. Off by
 	// default: under LP plans with excess production a reservoir can
 	// retain a residue, and reusing it without a flush would contaminate
@@ -44,9 +46,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.NumReservoirs == 0 {
 		c.NumReservoirs = 64
-	}
-	if c.NumSeparators == 0 {
-		c.NumSeparators = 2
 	}
 	return c
 }
@@ -587,7 +586,7 @@ func (gen *generator) emitHeat(n *dag.Node, op *elab.Op) error {
 
 func (gen *generator) emitSeparate(n *dag.Node, op *elab.Op, auxRes map[string]int) error {
 	gen.sepN++
-	unitName := fmt.Sprintf("separator%d", (gen.sepN-1)%gen.cfg.NumSeparators+1)
+	unitName := fmt.Sprintf("separator%d", (gen.sepN-1)%numSeparators+1)
 	unit := ais.FU(unitName)
 	// Auxiliary loads: matrix and pusher drawn whole from their
 	// reservoirs (loaded lazily once per fluid).

@@ -34,11 +34,6 @@ type Config struct {
 	// reference output (§3.2's optional relative output-to-output
 	// constraints). Zero disables the constraints.
 	OutputSkew float64
-	// CascadeTrigger is the mix skew above which a persistent underflow is
-	// attributed to an extreme mix ratio (fixed by cascading) rather than
-	// to numerous uses (fixed by replication). Zero selects
-	// sqrt(MaxCapacity/LeastCount).
-	CascadeTrigger float64
 	// MaxAttempts bounds the transform-and-resolve iterations of the
 	// Fig. 6 hierarchy. Zero selects 16.
 	MaxAttempts int
@@ -82,14 +77,9 @@ func DefaultConfig() Config {
 func (c Config) MaxSkew() float64 { return c.MaxCapacity / c.LeastCount }
 
 // TriggerSkew is the mix skew above which the Fig. 6 hierarchy blames
-// an underflow on the ratio and cascades: CascadeTrigger, or
-// sqrt(MaxSkew) when that is unset.
-func (c Config) TriggerSkew() float64 {
-	if c.CascadeTrigger > 0 {
-		return c.CascadeTrigger
-	}
-	return math.Sqrt(c.MaxSkew())
-}
+// an underflow on the ratio and cascades, rather than on numerous uses
+// and replicates: sqrt(MaxSkew).
+func (c Config) TriggerSkew() float64 { return math.Sqrt(c.MaxSkew()) }
 
 func (c Config) maxAttempts() int {
 	if c.MaxAttempts > 0 {

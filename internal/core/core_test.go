@@ -423,14 +423,8 @@ func TestGlycomicsStagedPlan(t *testing.T) {
 		}
 		// The separation's planned input volume comes from its own part's
 		// plan; emulate a 40% effluent yield.
-		pi := sp.Partition.PartOf[orig]
-		var local int
-		for lid, oid := range sp.Partition.OrigOf[pi] {
-			if oid == orig {
-				local = lid
-			}
-		}
-		in := sp.Plans[pi].NodeVolume[local]
+		loc := sp.Partition.NodeOf[orig]
+		in := sp.Plans[loc[0]].NodeVolume[loc[1]]
 		return 0.4 * in, true
 	}
 	for i := 1; i < sp.NumParts(); i++ {

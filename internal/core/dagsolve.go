@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -169,4 +170,26 @@ func DAGSolve(g *dag.Graph, cfg Config, avail Availability) (*Plan, error) {
 		return nil, err
 	}
 	return Dispense(v, cfg, avail)
+}
+
+// solve is the one DAGSolve→LP path of every constrained solve: a Manage
+// attempt, a staged part and a residual replan. It dispenses vn under
+// avail and, when that plan underflows and withLP is set, solves the RVol
+// LP over the same graph and availability. It returns the DAGSolve plan,
+// which carries the underflow diagnostics, and the LP plan when the
+// fallback found a feasible one. A Dispense error comes back with a nil
+// plan, and an LP error other than infeasibility with the DAGSolve plan.
+func solve(vn *Vnorms, cfg Config, avail Availability, withLP bool) (plan, lpPlan *Plan, err error) {
+	plan, err = Dispense(vn, cfg, avail)
+	if err != nil || plan.Feasible() || !withLP {
+		return plan, nil, err
+	}
+	lpPlan, err = SolveLP(vn.Graph, cfg, FormulateOptions{}, avail)
+	switch {
+	case err != nil && !errors.Is(err, ErrLPInfeasible):
+		return plan, nil, err
+	case err != nil || !lpPlan.Feasible():
+		return plan, nil, nil
+	}
+	return plan, lpPlan, nil
 }

@@ -121,7 +121,7 @@ func Manage(g *dag.Graph, cfg Config, opts ManageOptions) (*ManageResult, error)
 		if err != nil {
 			return nil, err
 		}
-		plan, err := Dispense(vn, cfg, avail)
+		plan, lpPlan, err := solve(vn, cfg, avail, !opts.SkipLP)
 		if err != nil {
 			return nil, err
 		}
@@ -132,20 +132,14 @@ func Manage(g *dag.Graph, cfg Config, opts ManageOptions) (*ManageResult, error)
 		}
 		_, minVol := plan.MinDispense()
 		tracef("attempt %d: DAGSolve underflow (min dispense %.4g nl)", attempt+1, minVol)
-
-		if !opts.SkipLP {
-			lpPlan, err := SolveLP(cur, cfg, FormulateOptions{}, avail)
-			switch {
-			case err == nil && lpPlan.Feasible():
-				tracef("attempt %d: LP fallback feasible", attempt+1)
-				res.Plan = lpPlan
-				res.UsedLP = true
-				return res, nil
-			case err != nil && !errors.Is(err, ErrLPInfeasible):
-				return nil, err
-			default:
-				tracef("attempt %d: LP infeasible too", attempt+1)
-			}
+		switch {
+		case lpPlan != nil:
+			tracef("attempt %d: LP fallback feasible", attempt+1)
+			res.Plan = lpPlan
+			res.UsedLP = true
+			return res, nil
+		case !opts.SkipLP:
+			tracef("attempt %d: LP infeasible too", attempt+1)
 		}
 
 		t, why, ok := diagnose(plan, cur, cfg)

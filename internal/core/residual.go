@@ -15,11 +15,6 @@ import (
 // unknown-volume nodes. Callers fall back to regeneration.
 var ErrResidualInfeasible = errors.New("core: residual replan infeasible")
 
-// LiveVolume reports the volume currently available from an executed
-// node's output port — a live vessel reading, already discounted by any
-// caller-side safety padding.
-type LiveVolume func(sourceID int, port string) (float64, bool)
-
 // ResidualPlan is a successful residual re-solve: absolute volumes for
 // the not-yet-executed remainder of an assay, scaled to what the live
 // vessels actually hold.
@@ -54,61 +49,54 @@ func (rp *ResidualPlan) InputVolumes() map[int]float64 {
 	return out
 }
 
-// SolveResidual re-runs volume assignment over a residual DAG (§3.3's
-// DAGSolve, then the LP fallback) with the live vessel volumes as
-// constrained-input availability: the forward pass scales the whole
-// remainder down (never past MaxCapacity up) so that no pending draw
-// exceeds what its source vessel still holds, preserving mix ratios.
-// cfg.SafetyMargin applies to the re-solve exactly as it did to the
-// original plan. Returns ErrResidualInfeasible (with the underlying
-// detail wrapped) when neither solver finds a feasible plan — including
-// when the residual still contains unknown-volume interior nodes, whose
-// measurements have not happened yet.
+// ResidualAvailability returns the Availability function SolveResidual
+// uses for r: each constrained input's live volume, read through live at
+// the executed source its binding names. internal/certify re-derives a
+// replan's limits through it.
+func ResidualAvailability(r *dag.Residual, cfg Config, live Measure) Availability {
+	return bindingAvailability(r.Bindings, cfg, live, nil)
+}
+
+// SolveResidual re-runs volume assignment over a residual DAG with the
+// live vessel volumes as constrained-input availability
+// (ResidualAvailability), through the same DAGSolve→LP solve as a
+// Manage attempt: the forward pass scales the whole remainder down
+// (never past MaxCapacity up) so that no pending draw exceeds what its
+// source vessel still holds, preserving mix ratios. cfg.SafetyMargin
+// applies to the re-solve exactly as it did to the original plan.
+// Returns ErrResidualInfeasible (with the underlying detail wrapped) when
+// neither solver finds a feasible plan — including when the residual
+// still contains unknown-volume interior nodes, whose measurements have
+// not happened yet.
 //
 // SolveResidual is certified parallel-safe: concurrent replans are
 // race-free provided the live callback is.
 //
 //fluidvet:parallelsafe
-func SolveResidual(r *dag.Residual, cfg Config, live LiveVolume) (*ResidualPlan, error) {
+func SolveResidual(r *dag.Residual, cfg Config, live Measure) (*ResidualPlan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	bound := make(map[int]dag.ResidualBoundary, len(r.Boundaries))
-	for _, b := range r.Boundaries {
-		bound[b.CINode] = b
+	var plan, lpPlan *Plan
+	vn, err := computeVnormsBudgeted(r.Graph, cfg.SafetyMargin, cfg.Budget)
+	if err == nil {
+		plan, lpPlan, err = solve(vn, cfg, ResidualAvailability(r, cfg, live), true)
 	}
-	avail := func(ci *dag.Node) (float64, bool) {
-		b, ok := bound[ci.ID()]
-		if !ok {
-			return 0, false
-		}
-		return live(b.SourceID, b.SourcePort)
-	}
-	plan, err := DAGSolve(r.Graph, cfg, avail)
-	if err != nil {
-		// A tripped budget is a stop, not infeasibility: wrap nothing, so
-		// the cause reaches the caller instead of triggering the
-		// regeneration fallback replan callers apply to infeasible errors.
-		if budget.IsStop(err) {
-			return nil, err
-		}
+	switch {
+	case err != nil && (plan != nil || budget.IsStop(err)):
+		// An LP error, or a tripped budget (a stop, not infeasibility):
+		// wrap nothing, so the cause reaches the caller instead of
+		// triggering the regeneration fallback replan callers apply to
+		// infeasible errors.
+		return nil, err
+	case err != nil:
 		// Unknown interior nodes (ErrNeedsPartition), unknown availability,
 		// degenerate residuals: all mean "cannot replan", not "cannot run".
 		return nil, fmt.Errorf("%w: %w", ErrResidualInfeasible, err)
+	case lpPlan != nil:
+		plan = lpPlan
+	case !plan.Feasible():
+		return nil, fmt.Errorf("%w: %s", ErrResidualInfeasible, plan.Underflows[0])
 	}
-	if plan.Feasible() {
-		return &ResidualPlan{Plan: plan, Residual: r, Method: plan.Method}, nil
-	}
-	lpPlan, lerr := SolveLP(r.Graph, cfg, FormulateOptions{}, avail)
-	if lerr == nil && lpPlan.Feasible() {
-		return &ResidualPlan{Plan: lpPlan, Residual: r, Method: lpPlan.Method}, nil
-	}
-	if lerr != nil && !errors.Is(lerr, ErrLPInfeasible) {
-		return nil, lerr
-	}
-	detail := "no feasible plan"
-	if len(plan.Underflows) > 0 {
-		detail = plan.Underflows[0].String()
-	}
-	return nil, fmt.Errorf("%w: %s", ErrResidualInfeasible, detail)
+	return &ResidualPlan{Plan: plan, Residual: r, Method: plan.Method}, nil
 }

@@ -127,3 +127,26 @@ func TestSolveResidualUnknownLive(t *testing.T) {
 		t.Fatalf("err = %v, want ErrResidualInfeasible", err)
 	}
 }
+
+// TestResidualAvailability: a residual's constrained input can draw its
+// source vessel's whole live volume, read at the source and port its
+// binding names, and no other node resolves.
+func TestResidualAvailability(t *testing.T) {
+	_, m, r := residualFixture(t)
+	live := func(sourceID int, port string) (float64, bool) {
+		return 37.5, sourceID == m.ID() && port == dag.PortDefault
+	}
+	avail := core.ResidualAvailability(r, cfg(), live)
+	for _, n := range r.Graph.Nodes() {
+		v, ok := avail(n)
+		if n.Kind != dag.ConstrainedInput {
+			if ok {
+				t.Errorf("%v resolves to %v, want no availability", n, v)
+			}
+			continue
+		}
+		if !ok || v != 37.5 {
+			t.Errorf("%v = %v, %v; want the live 37.5 nl", n, v, ok)
+		}
+	}
+}

@@ -10,9 +10,12 @@ import (
 	"aquavol/internal/dag"
 )
 
-// Measure supplies run-time volume measurements for unknown-volume nodes:
-// given a node id in the ORIGINAL graph and a producer port, it reports
-// the measured volume. The simulator (or real hardware) implements this.
+// Measure reports the volume of fluid read at run time from an
+// executed node's output port, given the node's id in the ORIGINAL graph
+// and the port: a separation's measured output when a staged part is
+// solved, or a live vessel reading (already discounted by any
+// caller-side safety padding) when a residual is replanned. The
+// simulator (or real hardware) supplies it.
 type Measure func(origNodeID int, port string) (float64, bool)
 
 // StagedPlan handles assays with statically-unknown volumes (§3.5). The
@@ -35,13 +38,17 @@ type StagedPlan struct {
 	// UsedLP records, per part, whether the LP fallback produced the plan.
 	UsedLP []bool
 
+	// inputs holds each part's constrained-input bindings, in
+	// Partition.Bindings order.
+	inputs [][]dag.Binding
 	// produced caches planned production volumes of cut known-volume
 	// nodes, keyed by original node id, so later parts can compute
 	// constrained-input availability.
 	produced map[int]float64
 }
 
-// ErrPartOrder reports SolvePart called before its producing parts.
+// ErrPartOrder reports SolvePart called on a part that still waits for
+// a run-time measurement or for an earlier part's production.
 var ErrPartOrder = errors.New("core: part solved out of order")
 
 // NewStagedPlan partitions g and computes every partition's Vnorms. The
@@ -60,7 +67,11 @@ func NewStagedPlan(g *dag.Graph, cfg Config) (*StagedPlan, error) {
 		Vnorms:    make([]*Vnorms, len(part.Parts)),
 		Plans:     make([]*Plan, len(part.Parts)),
 		UsedLP:    make([]bool, len(part.Parts)),
+		inputs:    make([][]dag.Binding, len(part.Parts)),
 		produced:  map[int]float64{},
+	}
+	for _, b := range part.Bindings {
+		sp.inputs[b.Part] = append(sp.inputs[b.Part], b)
 	}
 	for i, pg := range part.Parts {
 		vn, err := computeVnormsBudgeted(pg, cfg.SafetyMargin, cfg.Budget)
@@ -78,31 +89,14 @@ func NewStagedPlan(g *dag.Graph, cfg Config) (*StagedPlan, error) {
 // NumParts reports the number of partitions.
 func (sp *StagedPlan) NumParts() int { return len(sp.Partition.Parts) }
 
-// Produced reports the planned production of a cut known-volume node
-// (keyed by original node id) once its part has been solved. Runtime
-// sources use it to defer dependent parts instead of solving out of
-// order.
-func (sp *StagedPlan) Produced(origNodeID int) (float64, bool) {
-	v, ok := sp.produced[origNodeID]
-	return v, ok
-}
-
-// Static reports whether part i can be solved at compile time (no
-// run-time-measured constrained inputs).
-func (sp *StagedPlan) Static(i int) bool {
-	for _, b := range sp.Partition.Bindings {
-		if b.Part == i && b.SourceUnknown {
-			return false
-		}
-	}
-	return true
-}
-
-// bindingFor finds the binding describing a constrained-input node of part
-// i, by part-local node id.
-func (sp *StagedPlan) bindingFor(part, nodeID int) (dag.Binding, bool) {
-	for _, b := range sp.Partition.Bindings {
-		if b.Part == part && b.NodeID == nodeID {
+// Waiting is the one readiness test for part i: it reports the first of
+// the part's constrained inputs whose volume is not known yet, either a
+// run-time measurement that measure does not report (a nil measure
+// reports none) or the planned production of a cut node whose part is
+// not solved. It reports false when part i can be solved now.
+func (sp *StagedPlan) Waiting(i int, measure Measure) (dag.Binding, bool) {
+	for _, b := range sp.inputs[i] {
+		if _, ok := available(b, sp.cfg, measure, sp.produced); !ok {
 			return b, true
 		}
 	}
@@ -110,38 +104,47 @@ func (sp *StagedPlan) bindingFor(part, nodeID int) (dag.Binding, bool) {
 }
 
 // PartAvailability returns the Availability function SolvePart uses for
-// part i: each constrained input gets share × (MaxCapacity | planned
-// production | measured volume) depending on whether its source is a
-// natural input, a cut known-volume node from an earlier part, or an
-// unknown-volume node resolved through measure. It is exported so an
-// independent checker (internal/certify) can re-derive the exact
-// availability limits a part was solved under.
+// part i, each constrained input resolved through its binding by the one
+// availability rule (see available). It is exported so an independent
+// checker (internal/certify) can re-derive the exact availability limits
+// a part was solved under.
 func (sp *StagedPlan) PartAvailability(i int, measure Measure) Availability {
+	return bindingAvailability(sp.inputs[i], sp.cfg, measure, sp.produced)
+}
+
+// bindingAvailability resolves each constrained input of one graph
+// through its binding in bs.
+func bindingAvailability(bs []dag.Binding, cfg Config, measure Measure, produced map[int]float64) Availability {
 	return func(ci *dag.Node) (float64, bool) {
-		b, ok := sp.bindingFor(i, ci.ID())
-		if !ok {
+		for _, b := range bs {
+			if b.NodeID == ci.ID() {
+				return available(b, cfg, measure, produced)
+			}
+		}
+		return 0, false
+	}
+}
+
+// available is the one rule for how much fluid a constrained input can
+// draw: b.Share times the volume measure reports for a source read at
+// run time, times MaxCapacity for a natural input split statically, or
+// times the planned production of a cut node from an earlier part
+// (produced, keyed by original node id).
+func available(b dag.Binding, cfg Config, measure Measure, produced map[int]float64) (float64, bool) {
+	v, ok := cfg.MaxCapacity, true
+	switch {
+	case b.SourceUnknown:
+		if measure == nil {
 			return 0, false
 		}
-		switch {
-		case b.SourcePart == -1: // natural input split statically
-			return b.Share * sp.cfg.MaxCapacity, true
-		case b.SourceUnknown:
-			if measure == nil {
-				return 0, false
-			}
-			v, ok := measure(b.SourceID, b.SourcePort)
-			if !ok {
-				return 0, false
-			}
-			return b.Share * v, true
-		default: // cut known-volume node planned in an earlier part
-			v, ok := sp.produced[b.SourceID]
-			if !ok {
-				return 0, false
-			}
-			return b.Share * v, true
-		}
+		v, ok = measure(b.SourceID, b.SourcePort)
+	case b.SourcePart >= 0:
+		v, ok = produced[b.SourceID]
 	}
+	if !ok {
+		return 0, false
+	}
+	return b.Share * v, true
 }
 
 // Config reports the configuration the staged plan was built with, so
@@ -149,47 +152,34 @@ func (sp *StagedPlan) PartAvailability(i int, measure Measure) Availability {
 // the solver used.
 func (sp *StagedPlan) Config() Config { return sp.cfg }
 
-// SolvePart assigns absolute volumes for part i. Availability of each
-// constrained input is share × (MaxCapacity | planned production |
-// measured volume) depending on whether its source is a natural input, a
-// cut known-volume node from an earlier part, or an unknown-volume node
-// (in which case measure must report it).
-//
-// DAGSolve is attempted first; on underflow the LP formulation of the part
-// is tried before giving up (mirroring the hierarchy; DAG transforms are
-// not attempted inside partitions).
+// SolvePart assigns absolute volumes for part i, once Waiting reports
+// nothing left to wait for (ErrPartOrder otherwise), under
+// PartAvailability(i, measure). Like a Manage attempt it dispenses the
+// part's Vnorms and falls back on the LP when that underflows; DAG
+// transforms are not attempted inside partitions.
 func (sp *StagedPlan) SolvePart(i int, measure Measure) (*Plan, error) {
 	if i < 0 || i >= sp.NumParts() {
 		return nil, fmt.Errorf("core: part %d out of range [0,%d)", i, sp.NumParts())
 	}
-	// Poll at the part boundary; Dispense/SolveLP below charge the meter.
+	// Poll at the part boundary; the solve below charges the meter.
 	if err := sp.cfg.Budget.Err(); err != nil {
 		return nil, err
 	}
-	avail := sp.PartAvailability(i, measure)
-	// Pre-validate ordering: every non-static source must be resolvable.
-	for _, b := range sp.Partition.Bindings {
-		if b.Part != i || b.SourcePart == -1 || b.SourceUnknown {
-			continue
+	if b, waiting := sp.Waiting(i, measure); waiting {
+		if b.SourceUnknown {
+			return nil, fmt.Errorf("%w: part %d needs the measurement of unknown-volume node %d port %q",
+				ErrPartOrder, i, b.SourceID, b.SourcePort)
 		}
-		if _, ok := sp.produced[b.SourceID]; !ok {
-			return nil, fmt.Errorf("%w: part %d needs production of node %d (part %d)",
-				ErrPartOrder, i, b.SourceID, b.SourcePart)
-		}
+		return nil, fmt.Errorf("%w: part %d needs production of node %d (part %d)",
+			ErrPartOrder, i, b.SourceID, b.SourcePart)
 	}
-
-	plan, err := Dispense(sp.Vnorms[i], sp.cfg, avail)
+	plan, lpPlan, err := solve(sp.Vnorms[i], sp.cfg, sp.PartAvailability(i, measure), true)
 	if err != nil {
 		return nil, err
 	}
-	if !plan.Feasible() {
-		lpPlan, lerr := SolveLP(sp.Partition.Parts[i], sp.cfg, FormulateOptions{}, avail)
-		if lerr == nil && lpPlan.Feasible() {
-			plan = lpPlan
-			sp.UsedLP[i] = true
-		} else if lerr != nil && !errors.Is(lerr, ErrLPInfeasible) {
-			return nil, lerr
-		}
+	if lpPlan != nil {
+		plan = lpPlan
+		sp.UsedLP[i] = true
 	}
 	sp.Plans[i] = plan
 
@@ -212,21 +202,9 @@ func (sp *StagedPlan) SolvePart(i int, measure Measure) (*Plan, error) {
 func (sp *StagedPlan) SolveStatic() ([]int, error) {
 	var done []int
 	for i := 0; i < sp.NumParts(); i++ {
-		if !sp.Static(i) || sp.Plans[i] != nil {
-			continue
-		}
-		// A static part may still depend on productions of earlier static
-		// parts; those are filled in as we go. Parts are in dependency
-		// order, so a single pass suffices.
-		ready := true
-		for _, b := range sp.Partition.Bindings {
-			if b.Part == i && b.SourcePart >= 0 && !b.SourceUnknown {
-				if _, ok := sp.produced[b.SourceID]; !ok {
-					ready = false
-				}
-			}
-		}
-		if !ready {
+		// Parts are in dependency order, so a part waiting only on
+		// earlier static parts is ready by the time the pass reaches it.
+		if _, waiting := sp.Waiting(i, nil); waiting || sp.Plans[i] != nil {
 			continue
 		}
 		if _, err := sp.SolvePart(i, nil); err != nil {
@@ -238,8 +216,8 @@ func (sp *StagedPlan) SolveStatic() ([]int, error) {
 }
 
 // Fork returns a copy of sp for one run: parts solved so far are shared,
-// and parts solved later land in the copy only. The partition and Vnorms
-// are read-only after construction and shared too.
+// and parts solved later land in the copy only. The partition, Vnorms
+// and bindings by part are read-only after construction and shared too.
 func (sp *StagedPlan) Fork() *StagedPlan {
 	f := *sp
 	f.Plans, f.UsedLP, f.produced = slices.Clone(sp.Plans), slices.Clone(sp.UsedLP), maps.Clone(sp.produced)

@@ -44,21 +44,21 @@ func TestSolvePartOutOfRange(t *testing.T) {
 
 // TestSolvePartUnknownBoundary covers the unknown-source availability
 // paths: a part with a run-time-measured constrained input must fail
-// cleanly when no measure is supplied, and when the measure cannot
-// report the requested source.
+// cleanly, as solved out of order, when no measure is supplied and when
+// the measure cannot report the requested source.
 func TestSolvePartUnknownBoundary(t *testing.T) {
 	_, sp := stagedFixture(t)
 	if _, err := sp.SolveStatic(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sp.SolvePart(1, nil); err == nil ||
+	if _, err := sp.SolvePart(1, nil); !errors.Is(err, core.ErrPartOrder) ||
 		!strings.Contains(err.Error(), "unknown") {
-		t.Fatalf("SolvePart with nil measure = %v, want unknown-availability error", err)
+		t.Fatalf("SolvePart with nil measure = %v, want ErrPartOrder naming the unknown-volume source", err)
 	}
 	noAnswer := func(int, string) (float64, bool) { return 0, false }
-	if _, err := sp.SolvePart(1, noAnswer); err == nil ||
+	if _, err := sp.SolvePart(1, noAnswer); !errors.Is(err, core.ErrPartOrder) ||
 		!strings.Contains(err.Error(), "unknown") {
-		t.Fatalf("SolvePart with unanswering measure = %v, want unknown-availability error", err)
+		t.Fatalf("SolvePart with unanswering measure = %v, want ErrPartOrder naming the unknown-volume source", err)
 	}
 }
 
@@ -108,7 +108,7 @@ func TestSolvePartOrderSentinel(t *testing.T) {
 	measured := func(int, string) (float64, bool) { return 50, true }
 	sawOrder := false
 	for i := 0; i < sp.NumParts(); i++ {
-		if !sp.Static(i) {
+		if _, waiting := sp.Waiting(i, nil); waiting {
 			if _, err := sp.SolvePart(i, measured); errors.Is(err, core.ErrPartOrder) {
 				sawOrder = true
 			}
@@ -116,5 +116,54 @@ func TestSolvePartOrderSentinel(t *testing.T) {
 	}
 	if !sawOrder {
 		t.Fatal("no SolvePart call surfaced ErrPartOrder")
+	}
+}
+
+// TestWaitingReadiness pins the one readiness test: a part waits for
+// each constrained input whose volume is not known yet, a run-time
+// measurement first and then a cut node's production, and stops waiting
+// exactly when both resolve.
+func TestWaitingReadiness(t *testing.T) {
+	g := dag.New()
+	in1 := g.AddInput("in1")
+	in2 := g.AddInput("in2")
+	x := g.AddMix("X", dag.Part{Source: in1, Ratio: 1}, dag.Part{Source: in2, Ratio: 1})
+	u := g.AddUnary(dag.Separate, "U", in2)
+	u.Unknown = true
+	g.AddUnary(dag.Sense, "sx", g.AddMix("Y", dag.Part{Source: x, Ratio: 1}, dag.Part{Source: in1, Ratio: 1}))
+	z := g.AddNode(dag.Mix, "Z")
+	g.AddPortEdge(u, z, 0.5, dag.PortEffluent)
+	g.AddEdge(x, z, 0.5)
+	g.AddUnary(dag.Sense, "sz", z)
+	sp, err := core.NewStagedPlan(g, cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	zPart := sp.Partition.NodeOf[z.ID()][0]
+	xPart := sp.Partition.NodeOf[x.ID()][0]
+	measured := func(int, string) (float64, bool) { return 50, true }
+
+	b, waiting := sp.Waiting(zPart, nil)
+	if !waiting || !b.SourceUnknown || b.SourceID != u.ID() || b.SourcePort != dag.PortEffluent {
+		t.Fatalf("Waiting(Z's part, nil) = %+v, %v; want U's effluent measurement", b, waiting)
+	}
+	b, waiting = sp.Waiting(zPart, measured)
+	if !waiting || b.SourceUnknown || b.SourceID != x.ID() || b.SourcePart != xPart {
+		t.Fatalf("Waiting(Z's part, measured) = %+v, %v; want X's production in part %d", b, waiting, xPart)
+	}
+	if _, err := sp.SolvePart(zPart, measured); !errors.Is(err, core.ErrPartOrder) {
+		t.Fatalf("SolvePart before X's part = %v, want ErrPartOrder", err)
+	}
+	if _, waiting := sp.Waiting(xPart, nil); waiting {
+		t.Fatal("X's part waits for nothing, yet Waiting reports it waiting")
+	}
+	if _, err := sp.SolveStatic(); err != nil {
+		t.Fatal(err)
+	}
+	if b, waiting := sp.Waiting(zPart, measured); waiting {
+		t.Fatalf("Z's part still waits for %+v after X's part solved", b)
+	}
+	if _, waiting := sp.Waiting(zPart, nil); !waiting {
+		t.Fatal("Z's part stopped waiting for U's measurement")
 	}
 }

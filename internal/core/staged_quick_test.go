@@ -65,17 +65,11 @@ func TestQuickStagedPlanning(t *testing.T) {
 		}
 		// Measurements: each unknown yields 50% of its planned input.
 		measure := func(orig int, port string) (float64, bool) {
-			pi, ok := sp.Partition.PartOf[orig]
-			if !ok || sp.Plans[pi] == nil {
+			loc, ok := sp.Partition.NodeOf[orig]
+			if !ok || sp.Plans[loc[0]] == nil {
 				return 0, false
 			}
-			var local int
-			for lid, oid := range sp.Partition.OrigOf[pi] {
-				if oid == orig {
-					local = lid
-				}
-			}
-			in := sp.Plans[pi].NodeVolume[local]
+			in := sp.Plans[loc[0]].NodeVolume[loc[1]]
 			if port == dag.PortWaste {
 				return 0.5 * in, true
 			}

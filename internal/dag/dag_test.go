@@ -527,12 +527,12 @@ func TestPartitionFig8(t *testing.T) {
 		t.Fatalf("X shares = %v, want [0.5, 0.5]", xShares)
 	}
 	// X must be a leaf of its own part.
-	xPart := res.PartOf[x.ID()]
-	pg := res.Parts[xPart]
-	for lid, oid := range res.OrigOf[xPart] {
-		if oid == x.ID() && !pg.Node(lid).IsLeaf() {
-			t.Fatal("cut node X should be a leaf in its part")
-		}
+	loc := res.NodeOf[x.ID()]
+	if res.OrigOf[loc[0]][loc[1]] != x.ID() {
+		t.Fatalf("NodeOf[X] = %v, but OrigOf maps it to %d", loc, res.OrigOf[loc[0]][loc[1]])
+	}
+	if !res.Parts[loc[0]].Node(loc[1]).IsLeaf() {
+		t.Fatal("cut node X should be a leaf in its part")
 	}
 }
 
@@ -609,7 +609,8 @@ func randomDAG(r *rand.Rand) *Graph {
 }
 
 // Property: random DAGs validate, and Partition yields valid ordered parts
-// whose bindings reference earlier parts.
+// whose bindings reference earlier parts, with NodeOf the inverse of
+// OrigOf.
 func TestQuickPartitionInvariants(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 100}
 	f := func(seed int64) bool {
@@ -642,7 +643,16 @@ func TestQuickPartitionInvariants(t *testing.T) {
 				return false // unknown nodes must be cut
 			}
 		}
-		return true
+		realized := 0
+		for i, m := range res.OrigOf {
+			for local, orig := range m {
+				if res.NodeOf[orig] != [2]int{i, local} {
+					return false // NodeOf inverts OrigOf
+				}
+			}
+			realized += len(m)
+		}
+		return len(res.NodeOf) == realized
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)

@@ -7,14 +7,16 @@ import (
 	"strings"
 )
 
-// Binding records where one ConstrainedInput pseudo-source gets its fluid.
+// Binding records where one ConstrainedInput pseudo-source gets its
+// fluid, in a partition (Partition) or a residual (ExtractResidual).
 type Binding struct {
-	// Part and NodeID locate the constrained input within
-	// PartitionResult.Parts.
+	// Part and NodeID locate the constrained input: within
+	// PartitionResult.Parts, or part 0 for the one residual graph.
 	Part   int
 	NodeID int
 	// SourcePart is the index of the part that produces the fluid, or -1
-	// when the source is a natural input split across parts.
+	// when no part does: a natural input split across parts, or a
+	// residual's already-executed source.
 	SourcePart int
 	// SourceID is the producing node's id in the original graph.
 	SourceID int
@@ -25,7 +27,8 @@ type Binding struct {
 	// through this constrained input (the m/N split of §3.5).
 	Share float64
 	// SourceUnknown reports whether the source's produced volume is only
-	// measurable at run time.
+	// measurable at run time: an unknown-volume node, or every live
+	// source of a residual.
 	SourceUnknown bool
 }
 
@@ -39,9 +42,9 @@ type PartitionResult struct {
 	// OrigOf maps, for each part, part-local node ids to node ids in the
 	// original graph. Synthetic ConstrainedInput nodes are absent.
 	OrigOf []map[int]int
-	// PartOf maps original node ids to the index of the part that contains
-	// them.
-	PartOf map[int]int
+	// NodeOf maps original node ids to their realization: the index of
+	// the part that contains them and their part-local id.
+	NodeOf map[int][2]int
 	// EdgeOf maps original edge ids to their realization: the part index
 	// and the part-local edge id (for cut edges, the constrained-input
 	// edge that replaced it).
@@ -176,7 +179,7 @@ func Partition(g *Graph) (*PartitionResult, error) {
 	res := &PartitionResult{
 		Parts:  make([]*Graph, len(keys)),
 		OrigOf: make([]map[int]int, len(keys)),
-		PartOf: make(map[int]int, len(order)),
+		NodeOf: make(map[int][2]int, len(order)),
 		EdgeOf: make(map[int][2]int, len(g.edges)),
 	}
 	for i := range res.Parts {
@@ -189,11 +192,10 @@ func Partition(g *Graph) (*PartitionResult, error) {
 			// Split natural inputs are fully replaced by their per-part
 			// constrained inputs; the original node needs no plan of its
 			// own (availability is the static share of the machine
-			// maximum). It appears in no part and in no PartOf entry.
+			// maximum). It appears in no part and in no NodeOf entry.
 			continue
 		}
 		pi := partIdx[partKey[n]]
-		res.PartOf[n.id] = pi
 		pg := res.Parts[pi]
 		c := pg.AddNode(n.Kind, n.Name)
 		c.OutFrac = n.OutFrac
@@ -206,6 +208,7 @@ func Partition(g *Graph) (*PartitionResult, error) {
 		c.Ref = n.Ref
 		newNode[n] = c
 		res.OrigOf[pi][c.ID()] = n.id
+		res.NodeOf[n.id] = [2]int{pi, c.ID()}
 	}
 
 	// Wire edges. Uncut edges stay inside their part; cut sources feed

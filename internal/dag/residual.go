@@ -7,19 +7,6 @@ import "fmt"
 // recovery runtime's live-volume lookups during replanning.
 func FluidKey(nodeID int, port string) string { return fmt.Sprintf("%d/%s", nodeID, port) }
 
-// ResidualBoundary records where one residual ConstrainedInput gets its
-// fluid: a node that has already executed, whose live vessel volume is
-// the fixed boundary condition of the residual solve.
-type ResidualBoundary struct {
-	// CINode is the ConstrainedInput's node id in the residual graph.
-	CINode int
-	// SourceID is the producing node's id in the original graph.
-	SourceID int
-	// SourcePort is the producer port the fluid comes from
-	// (effluent/waste for separations, empty otherwise).
-	SourcePort string
-}
-
 // Residual is the not-yet-executed remainder of a graph, extracted by
 // ExtractResidual: a solvable DAG whose boundary conditions are the live
 // volumes of already-produced fluids.
@@ -32,8 +19,10 @@ type Residual struct {
 	// whose consumer is still pending (cut edges map to the
 	// constrained-input edge that replaced them).
 	EdgeOf map[int]int
-	// Boundaries describes every constrained input of the residual.
-	Boundaries []ResidualBoundary
+	// Bindings describes every constrained input of the residual: each
+	// draws on the whole live vessel of an executed node's port (share
+	// 1), whose volume is read at run time (SourceUnknown).
+	Bindings []Binding
 }
 
 // ExtractResidual cuts g at the executed/pending frontier: nodes for
@@ -142,8 +131,9 @@ func ExtractResidual(g *Graph, executed func(*Node) bool) (*Residual, error) {
 			ci.Source = e.From.id
 			ci.SourceIsInput = e.From.Kind == Input
 			cis[k] = ci
-			res.Boundaries = append(res.Boundaries, ResidualBoundary{
-				CINode: ci.ID(), SourceID: e.From.id, SourcePort: e.Port,
+			res.Bindings = append(res.Bindings, Binding{
+				NodeID: ci.ID(), SourcePart: -1, SourceID: e.From.id, SourcePort: e.Port,
+				Share: 1, SourceUnknown: true,
 			})
 		}
 		ne := res.Graph.AddPortEdge(ci, newNode[e.To], e.Frac, PortDefault)

@@ -27,21 +27,24 @@ func TestExtractResidualBasic(t *testing.T) {
 	if got := r.Graph.NumNodes(); got != 3 {
 		t.Fatalf("residual nodes = %d, want 3 (H, end, M@live)", got)
 	}
-	if len(r.Boundaries) != 1 {
-		t.Fatalf("boundaries = %d, want 1", len(r.Boundaries))
+	if len(r.Bindings) != 1 {
+		t.Fatalf("bindings = %d, want 1", len(r.Bindings))
 	}
-	b := r.Boundaries[0]
+	b := r.Bindings[0]
 	if b.SourceID != m.ID() || b.SourcePort != PortDefault {
-		t.Errorf("boundary = %+v, want source M default port", b)
+		t.Errorf("binding = %+v, want source M default port", b)
 	}
-	ci := r.Graph.Node(b.CINode)
+	if b.Share != 1 || !b.SourceUnknown || b.Part != 0 || b.SourcePart != -1 {
+		t.Errorf("binding = %+v, want share 1 read at run time, part 0, no source part", b)
+	}
+	ci := r.Graph.Node(b.NodeID)
 	if ci.Kind != ConstrainedInput || ci.Share != 1 {
 		t.Errorf("CI = kind %v share %v, want ConstrainedInput share 1", ci.Kind, ci.Share)
 	}
 	// NodeOf round-trips the pending nodes; the CI has no original.
 	back := map[int]bool{}
 	for res, orig := range r.NodeOf {
-		if res == b.CINode {
+		if res == b.NodeID {
 			t.Error("NodeOf contains the synthetic constrained input")
 		}
 		back[orig] = true
@@ -92,18 +95,18 @@ func TestExtractResidualPerPortBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Boundaries) != 2 {
-		t.Fatalf("boundaries = %d, want 2 (effluent + waste)", len(r.Boundaries))
+	if len(r.Bindings) != 2 {
+		t.Fatalf("bindings = %d, want 2 (effluent + waste)", len(r.Bindings))
 	}
 	ports := map[string]bool{}
-	for _, bd := range r.Boundaries {
+	for _, bd := range r.Bindings {
 		if bd.SourceID != sep.ID() {
-			t.Errorf("boundary source = %d, want sep", bd.SourceID)
+			t.Errorf("binding source = %d, want sep", bd.SourceID)
 		}
 		ports[bd.SourcePort] = true
 	}
 	if !ports[PortEffluent] || !ports[PortWaste] {
-		t.Errorf("boundary ports = %v, want effluent and waste", ports)
+		t.Errorf("binding ports = %v, want effluent and waste", ports)
 	}
 }
 
@@ -131,8 +134,8 @@ func TestExtractResidualNothingExecuted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Boundaries) != 0 {
-		t.Errorf("boundaries = %d, want 0", len(r.Boundaries))
+	if len(r.Bindings) != 0 {
+		t.Errorf("bindings = %d, want 0", len(r.Bindings))
 	}
 	if r.Graph.NumNodes() != g.NumNodes() {
 		t.Errorf("residual nodes = %d, want %d", r.Graph.NumNodes(), g.NumNodes())

@@ -50,10 +50,12 @@ func (s Status) String() string {
 	}
 }
 
+// intTol is how close to an integer a value must be to count as
+// integral.
+const intTol = 1e-6
+
 // Options tunes the search. The zero value selects defaults.
 type Options struct {
-	// LP configures the relaxation solver at every node.
-	LP lp.Options
 	// MaxNodes bounds the number of branch-and-bound nodes explored.
 	// 0 selects 100000.
 	MaxNodes int
@@ -65,14 +67,11 @@ type Options struct {
 	// Result.Stop.
 	MaxTime time.Duration
 	// Budget, when non-nil, is the caller's shared budget: charged one
-	// work unit per node and routed into every node's LP solve (unless
-	// LP.Budget is already set). Exhaustion or deadline on this meter
-	// truncates the search like MaxNodes/MaxTime; caller cancellation
-	// (budget.ErrCancelled) aborts Solve with that error.
+	// work unit per node and routed into every node's LP solve.
+	// Exhaustion or deadline on this meter truncates the search like
+	// MaxNodes/MaxTime; caller cancellation (budget.ErrCancelled) aborts
+	// Solve with that error.
 	Budget *budget.Meter
-	// IntTol is how close to an integer a value must be to count as
-	// integral. 0 selects 1e-6.
-	IntTol float64
 	// Integers lists the variables that must take integer values. Empty
 	// means every variable is integral.
 	Integers []lp.VarID
@@ -81,9 +80,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 100000
-	}
-	if o.IntTol == 0 {
-		o.IntTol = 1e-6
 	}
 	return o
 }
@@ -176,10 +172,7 @@ func Solve(p *lp.Problem, opts Options) (*Result, error) {
 			res.Stop = cause
 		}
 	}
-	lpOpts := opt.LP
-	if lpOpts.Budget == nil {
-		lpOpts.Budget = opt.Budget
-	}
+	lpOpts := lp.Options{Budget: opt.Budget}
 	search = func(depth int) error {
 		if err := bound.Charge(1); err != nil {
 			truncate(err)
@@ -223,7 +216,7 @@ func Solve(p *lp.Problem, opts Options) (*Result, error) {
 		}
 		// Most fractional integral variable.
 		branch := -1
-		worst := opt.IntTol
+		worst := intTol
 		for j := 0; j < n; j++ {
 			if !isInt[j] {
 				continue
@@ -249,7 +242,7 @@ func Solve(p *lp.Problem, opts Options) (*Result, error) {
 		x := sol.X[branch]
 
 		// Down branch: x ≤ floor.
-		if fl := math.Floor(x); fl >= lo-opt.IntTol {
+		if fl := math.Floor(x); fl >= lo-intTol {
 			p.SetBounds(v, lo, math.Min(hi, fl))
 			if err := search(depth + 1); err != nil {
 				return err
@@ -257,7 +250,7 @@ func Solve(p *lp.Problem, opts Options) (*Result, error) {
 			p.SetBounds(v, lo, hi)
 		}
 		// Up branch: x ≥ ceil.
-		if cl := math.Ceil(x); cl <= hi+opt.IntTol {
+		if cl := math.Ceil(x); cl <= hi+intTol {
 			p.SetBounds(v, math.Max(lo, cl), hi)
 			if err := search(depth + 1); err != nil {
 				return err

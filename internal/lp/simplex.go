@@ -44,10 +44,6 @@ type Options struct {
 	// MaxIterations bounds the total pivots across both phases.
 	// 0 selects 200*(rows+cols)+1000.
 	MaxIterations int
-	// Tol is the pivot/reduced-cost tolerance. 0 selects 1e-9.
-	Tol float64
-	// FeasTol is the phase-1 feasibility tolerance. 0 selects 1e-7.
-	FeasTol float64
 	// Budget, when non-nil, is charged one work unit per simplex pivot
 	// and can stop the solve cooperatively. Unlike MaxIterations (which
 	// terminates with Status IterationLimit), a budget stop is returned
@@ -59,12 +55,6 @@ type Options struct {
 func (o Options) withDefaults(m, n int) Options {
 	if o.MaxIterations == 0 {
 		o.MaxIterations = 200*(m+n) + 1000
-	}
-	if o.Tol == 0 {
-		o.Tol = DefaultTol
-	}
-	if o.FeasTol == 0 {
-		o.FeasTol = DefaultFeasTol
 	}
 	return o
 }
@@ -206,7 +196,7 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 	opt := opts.withDefaults(m, nStruct)
 
 	n := nStruct + nSlack + nArt // total columns (rhs stored separately)
-	t := newTableau(m, n, n-nArt, opt.Tol)
+	t := newTableau(m, n, n-nArt)
 	defer releaseTableau(t)
 	// Fill the structural columns straight from the sparse terms: the
 	// merged terms name each variable once, so every entry is written
@@ -299,7 +289,7 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 			sol.Status = IterationLimit
 			return sol, nil
 		}
-		if -t.cost[n] > opt.FeasTol { // phase-1 objective = -cost[n]
+		if -t.cost[n] > FeasTol { // phase-1 objective = -cost[n]
 			sol.Status = Infeasible
 			return sol, nil
 		}
@@ -344,7 +334,7 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 	colVal := make([]float64, n)
 	for i := 0; i < m; i++ {
 		v := t.a[i*t.stride+n]
-		if v < 0 && v > -opt.FeasTol {
+		if v < 0 && v > -FeasTol {
 			v = 0
 		}
 		colVal[t.basis[i]] = v
@@ -417,7 +407,6 @@ type tableau struct {
 	basis  []int
 	cost   []float64
 	nz     []int // scratch: the nonzero columns of the last pivot row
-	tol    float64
 }
 
 // spare holds tableau storage between solves: the hierarchy's LP
@@ -438,7 +427,7 @@ var spare struct {
 // newTableau returns an all-zero m×n tableau, reusing the spare's
 // storage when it is there. Hand it back with releaseTableau once the
 // solve is done with it.
-func newTableau(m, n, artLo int, tol float64) *tableau {
+func newTableau(m, n, artLo int) *tableau {
 	spare.mu.Lock()
 	t := spare.t
 	spare.t = nil
@@ -455,7 +444,6 @@ func newTableau(m, n, artLo int, tol float64) *tableau {
 		basis:  zeroed(t.basis, m),
 		cost:   zeroed(t.cost, n+1),
 		nz:     t.nz[:0],
-		tol:    tol,
 	}
 	return t
 }
@@ -512,13 +500,13 @@ func (t *tableau) iterate(iters *int, opt Options, phase1 bool) (Status, error) 
 		enter := -1
 		if bland {
 			for j := 0; j < enterLimit; j++ {
-				if t.cost[j] < -t.tol {
+				if t.cost[j] < -PivotTol {
 					enter = j
 					break
 				}
 			}
 		} else {
-			best := -t.tol
+			best := -PivotTol
 			for j := 0; j < enterLimit; j++ {
 				if t.cost[j] < best {
 					best = t.cost[j]
@@ -535,12 +523,12 @@ func (t *tableau) iterate(iters *int, opt Options, phase1 bool) (Status, error) 
 		var minRatio float64
 		for i := 0; i < t.m; i++ {
 			aij := t.a[i*t.stride+enter]
-			if aij <= t.tol {
+			if aij <= PivotTol {
 				continue
 			}
 			r := t.a[i*t.stride+t.n] / aij
-			if leave < 0 || r < minRatio-t.tol ||
-				(r < minRatio+t.tol && t.basis[i] < t.basis[leave]) {
+			if leave < 0 || r < minRatio-PivotTol ||
+				(r < minRatio+PivotTol && t.basis[i] < t.basis[leave]) {
 				leave = i
 				minRatio = r
 			}
@@ -552,7 +540,7 @@ func (t *tableau) iterate(iters *int, opt Options, phase1 bool) (Status, error) 
 		*iters++
 
 		obj := -t.cost[t.n]
-		if obj < lastObj-t.tol {
+		if obj < lastObj-PivotTol {
 			lastObj = obj
 			stall = 0
 		} else {
@@ -620,7 +608,7 @@ func (t *tableau) expelArtificials() {
 		base := i * t.stride
 		pivotCol := -1
 		for j := 0; j < t.artLo; j++ {
-			if math.Abs(t.a[base+j]) > t.tol {
+			if math.Abs(t.a[base+j]) > PivotTol {
 				pivotCol = j
 				break
 			}

@@ -10,19 +10,18 @@ package lp
 // comparisons), and a check at tier k must tolerate everything tiers < k
 // legitimately let through.
 const (
-	// DefaultTol is the pivot / reduced-cost tolerance used inside the
-	// simplex iterations (Options.Tol's default). Entries smaller than
-	// this are treated as zero during pivoting.
-	DefaultTol = 1e-9
+	// PivotTol is the pivot / reduced-cost tolerance used inside the
+	// simplex iterations. Entries smaller than this are treated as zero
+	// during pivoting.
+	PivotTol = 1e-9
 
-	// DefaultFeasTol is the phase-1 feasibility tolerance
-	// (Options.FeasTol's default): a phase-1 objective below this means
-	// the problem is feasible.
-	DefaultFeasTol = 1e-7
+	// FeasTol is the phase-1 feasibility tolerance: a phase-1 objective
+	// below this means the problem is feasible.
+	FeasTol = 1e-7
 
 	// SolutionTol compares individual solution values (variable values,
 	// duals, reduced costs) against exact or independently recomputed
-	// references. It is looser than DefaultTol because extraction
+	// references. It is looser than PivotTol because extraction
 	// accumulates one rounding per basic row.
 	SolutionTol = 1e-6
 

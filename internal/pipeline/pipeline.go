@@ -220,12 +220,18 @@ func (r *Result) Source() (aquacore.VolumeSource, error) {
 }
 
 // Machine returns a fresh machine for one run over a fresh Source, with
-// the assay's compile-time dry registers preset.
+// the assay's compile-time dry registers preset. The machine runs, and
+// re-solves residual replans, under the compile's volume parameters
+// (they replace acfg.Volume), safety margin included, with the
+// compile's meter cleared: a replan charges nothing, and acfg.Budget
+// bounds the run.
 func (r *Result) Machine(acfg aquacore.Config) (*aquacore.Machine, error) {
 	src, err := r.Source()
 	if err != nil {
 		return nil, err
 	}
+	acfg.Volume = r.opts.Config
+	acfg.Volume.Budget = nil
 	m := aquacore.New(acfg, r.Graph, src)
 	m.SetDry(codegen.DryInit(r.ep))
 	return m, nil

@@ -54,6 +54,28 @@ func TestMachineChargesNoPlanning(t *testing.T) {
 	}
 }
 
+// A run's machine executes, and re-solves residual replans, under the
+// compile's volume parameters, safety margin included, and a replan
+// charges nothing to the compile's meter.
+func TestMachineKeepsCompileConfig(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.SafetyMargin = 0.1
+	cfg.Budget = budget.New(0)
+	res := build(t, assays.GlucoseSource, pipeline.Options{Config: cfg})
+	m, err := res.Machine(aquacore.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := m.VolumeConfig()
+	if got.SafetyMargin != cfg.SafetyMargin || got.MaxCapacity != cfg.MaxCapacity ||
+		got.LeastCount != cfg.LeastCount || got.OutputSkew != cfg.OutputSkew {
+		t.Errorf("machine volume config %+v, want the compile's %+v", got, cfg)
+	}
+	if got.Budget != nil {
+		t.Error("the machine's volume config carries the compile's meter: replans would charge it")
+	}
+}
+
 // A staged assay's runs start from the compile-time partition plans and
 // solve the rest in their own copy: a finished run leaves the compile
 // and the next run's source untouched.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"aquavol/internal/aquacore"
@@ -121,13 +122,22 @@ func TestCrashAtEveryBoundaryResumesBitIdentical(t *testing.T) {
 			t.Fatalf("crash at %d: snapshot boundary %d is past the crash", k, snap.Boundary)
 		}
 
+		// Resume through a one-rung ladder: the newest snapshot must be
+		// the rung that runs.
 		resumeOpts := opts
 		resumeOpts.Journal = w2
-		m2 := newMachine(ep, plan, profile, seed, nil)
-		out2, err := recovery.Resume(m2, cg.Prog, &recovery.Compiled{Graph: ep.Graph, Clusters: cg.Clusters, VesselOf: cg.VesselOf}, resumeOpts, snap)
+		var m2 *aquacore.Machine
+		newM := func() (*aquacore.Machine, error) {
+			m2 = newMachine(ep, plan, profile, seed, nil)
+			return m2, nil
+		}
+		out2, used, err := recovery.ResumeFallback(newM, cg.Prog, &recovery.Compiled{Graph: ep.Graph, Clusters: cg.Clusters, VesselOf: cg.VesselOf}, resumeOpts, []*journal.Snapshot{snap}, nil)
 		f2.Close()
 		if err != nil {
 			t.Fatalf("crash at %d: resume: %v", k, err)
+		}
+		if used != snap {
+			t.Fatalf("crash at %d: resume restarted instead of resuming at boundary %d", k, snap.Boundary)
 		}
 		if out2.Status != refOut.Status {
 			t.Fatalf("crash at %d: resumed status %s, want %s", k, out2.Status, refOut.Status)
@@ -194,16 +204,36 @@ func TestJournalWriteFailureAborts(t *testing.T) {
 	}
 }
 
-// Resume validates its snapshot before touching the machine.
+// Resume validates its snapshot before touching the machine: a rung
+// without machine state, or with an out-of-range pc, is reported
+// unusable and the run restarts from the beginning.
 func TestResumeValidation(t *testing.T) {
 	ep, plan, cg := compileGlucose(t)
-	m := newMachine(ep, plan, faults.Profile{}, 0, nil)
-	if _, err := recovery.Resume(m, cg.Prog, &recovery.Compiled{Graph: ep.Graph, Clusters: cg.Clusters, VesselOf: cg.VesselOf}, recovery.Options{}, nil); err == nil {
-		t.Error("nil snapshot accepted")
-	}
-	if _, err := recovery.Resume(m, cg.Prog, &recovery.Compiled{Graph: ep.Graph, Clusters: cg.Clusters, VesselOf: cg.VesselOf}, recovery.Options{},
-		&journal.Snapshot{Boundary: 0, PC: len(cg.Prog.Instrs) + 1, Machine: &aquacore.Snapshot{}}); err == nil {
-		t.Error("out-of-range pc accepted")
+	for _, tc := range []struct {
+		name string
+		snap *journal.Snapshot
+		why  string
+	}{
+		{"no machine state", &journal.Snapshot{Boundary: 0, PC: 0}, "needs a snapshot with machine state"},
+		{"out-of-range pc", &journal.Snapshot{Boundary: 0, PC: len(cg.Prog.Instrs) + 1, Machine: &aquacore.Snapshot{}}, "out of range"},
+	} {
+		var notes []string
+		newM := func() (*aquacore.Machine, error) { return newMachine(ep, plan, faults.Profile{}, 0, nil), nil }
+		out, used, err := recovery.ResumeFallback(newM, cg.Prog, &recovery.Compiled{Graph: ep.Graph, Clusters: cg.Clusters, VesselOf: cg.VesselOf}, recovery.Options{},
+			[]*journal.Snapshot{tc.snap}, func(s string) { notes = append(notes, s) })
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if used != nil {
+			t.Errorf("%s: snapshot accepted", tc.name)
+		}
+		if len(notes) != 2 || !strings.Contains(notes[0], "unusable") || !strings.Contains(notes[0], tc.why) ||
+			!strings.Contains(notes[1], "restarting from the beginning") {
+			t.Errorf("%s: notes %q, want the rung reported unusable (%s) and a restart", tc.name, notes, tc.why)
+		}
+		if out.Status != recovery.Completed {
+			t.Errorf("%s: restarted run %s, want completed", tc.name, out.Status)
+		}
 	}
 }
 

@@ -21,15 +21,19 @@ func Snapshots(recs []*journal.Record) []*journal.Snapshot {
 	return snaps
 }
 
-// ResumeFallback resumes from the newest usable snapshot, walking the
-// ladder toward older ones when a snapshot turns out to be unrestorable
-// (CRC-valid frame, poisoned contents: an out-of-range pc, a vanished
-// vessel table, an impossible PRNG position — everything snapshot
-// validation refuses). Determinism makes every rung equivalent: resuming
-// from an older snapshot just replays more boundaries and lands on the
-// bit-identical result. The bottom rung is a fresh run from the
+// ResumeFallback continues a journaled run from the newest usable
+// snapshot: it restores that rung's machine state and recovery counters
+// onto a fresh machine and re-enters the loop at the snapshot's (pc,
+// boundary). It walks the ladder toward older snapshots when one turns
+// out to be unrestorable (CRC-valid frame, poisoned contents: an
+// out-of-range pc, a vanished vessel table, an impossible PRNG position
+// — everything snapshot validation refuses). Determinism makes every
+// rung equivalent: resuming from an older snapshot just replays more
+// boundaries and lands on the bit-identical result, the same as a run
+// that was never interrupted. The bottom rung is a fresh run from the
 // beginning, so the ladder fails only when no machine can be built at
-// all.
+// all. opts.Journal, when set, should append to the recovered journal
+// (journal.OpenAppend).
 //
 // newMachine must construct a fresh machine per attempt (Restore demands
 // one that has executed nothing). note, when non-nil, receives one

@@ -249,27 +249,12 @@ func Run(m *aquacore.Machine, prog *ais.Program, c *Compiled, opts Options) *Out
 	return run(m, prog, c, opts.withDefaults(), 0, 0, &Outcome{})
 }
 
-// Resume continues a journaled run from a snapshot record: it restores
-// the machine state (fault-PRNG position and measurement log included)
-// onto the freshly-constructed m, reloads the recovery counters, and
-// re-enters the loop at the snapshot's (pc, boundary). Because execution
-// is deterministic, the finished run is bit-identical to one that was
-// never interrupted. opts.Journal, when set, should append to the
-// recovered journal (journal.OpenAppend).
-func Resume(m *aquacore.Machine, prog *ais.Program, c *Compiled,
-	opts Options, snap *journal.Snapshot) (*Outcome, error) {
-	out, err := prepareResume(m, prog, snap)
-	if err != nil {
-		return nil, err
-	}
-	return run(m, prog, c, opts.withDefaults(), snap.PC, snap.Boundary, out), nil
-}
-
 // prepareResume validates a snapshot, restores it onto the fresh machine
-// m, and reconstructs the accumulated recovery counters — everything
-// Resume does short of executing. Split out so the fallback ladder can
-// probe a snapshot's usability (and announce the chosen rung) before
-// committing to the run.
+// m (fault-PRNG position and measurement log included), and
+// reconstructs the accumulated recovery counters: everything a resume
+// does short of executing, so the fallback ladder can probe a
+// snapshot's usability (and announce the chosen rung) before committing
+// to the run.
 func prepareResume(m *aquacore.Machine, prog *ais.Program, snap *journal.Snapshot) (*Outcome, error) {
 	if snap == nil || snap.Machine == nil {
 		return nil, fmt.Errorf("recovery: resume needs a snapshot with machine state")
