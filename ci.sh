@@ -73,15 +73,21 @@ go test -count=1 -run 'TestEncoderMatchesMarshal|TestEncoderSnapshotSequence' ./
 
 echo "== benchmark smoke =="
 # One iteration each, so the benchmarks keep compiling and running:
-# snapshot appends of a harsh-fault Enzyme n=3 journal, and whole
-# harsh-fault Enzyme n=3 runs on the machine.
+# snapshot appends of a harsh-fault Enzyme n=3 journal, whole
+# harsh-fault Enzyme n=3 runs on the machine, and certification of the
+# glucose and Enzyme n=4 plans and of a harsh-fault Enzyme n=3 replan
+# and its patches.
 go test -run '^$' -bench 'BenchmarkAppendSnapshot' -benchtime=1x ./internal/journal
 go test -run '^$' -bench 'BenchmarkExecFaulty' -benchtime=1x ./internal/aquacore
+go test -run '^$' -bench 'BenchmarkCheck' -benchtime=1x ./internal/certify
 
 echo "== fuzz smoke (10s each) =="
 go test -fuzz=FuzzAssemble -fuzztime=10s ./internal/ais
 go test -fuzz=FuzzLint -fuzztime=10s ./internal/analysis
 go test -fuzz=FuzzDecode -fuzztime=10s ./internal/journal
+# certify's tests (the tier-agreement oracle) already ran in the race
+# step; only its fuzz target runs here.
+go test -run '^$' -fuzz=FuzzCertifyTiers -fuzztime=10s ./internal/certify
 
 echo "== aisverify over compiled examples =="
 tmp=$(mktemp -d)

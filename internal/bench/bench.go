@@ -497,9 +497,6 @@ type ILPBounds struct {
 	Nodes int
 	// Time is the wall-clock guard on each ilp.Solve; 0 selects 15 s.
 	Time time.Duration
-	// Budget optionally bounds the whole experiment with a caller meter
-	// (cooperative cancellation; charged per node and per LP pivot).
-	Budget *budget.Meter
 }
 
 func (b ILPBounds) withDefaults() ILPBounds {
@@ -556,7 +553,7 @@ func ILP(b ILPBounds) *Table {
 			}
 		})
 		start := time.Now() //fluidvet:allow determinism wall-clock timing is the benchmark's measurement, reported not replayed
-		res, err := ilp.Solve(f.Prob, ilp.Options{MaxNodes: b.Nodes, MaxTime: b.Time, Budget: b.Budget})
+		res, err := ilp.Solve(f.Prob, ilp.Options{MaxNodes: b.Nodes, MaxTime: b.Time})
 		if err != nil {
 			panic(err)
 		}

@@ -60,12 +60,12 @@ type CertifyReport struct {
 	Mutants int           `json:"mutants"`
 	Killed  int           `json:"killed"`
 	// Overhead records certify p50 against the gated planning stage's
-	// p50, per shipped assay. The exact dyadic checker runs in tens of
-	// microseconds, so on solve-dominated assays (enzyme4's managed LP
-	// hierarchy) it stays a few percent; on microsecond-scale assays
-	// (glucose) the ratio is dominated by how trivially cheap the solve
-	// is, and the absolute cost is the meaningful number — see
-	// EXPERIMENTS.md E16.
+	// p50, per shipped assay. A passing plan is proven in float64
+	// intervals, with no exact arithmetic, so on solve-dominated assays
+	// (enzyme4's managed LP hierarchy) it stays a few percent; on
+	// microsecond-scale assays (glucose) the ratio is dominated by how
+	// trivially cheap the solve is, and the absolute cost is the
+	// meaningful number — see EXPERIMENTS.md E16.
 	Overhead []CertifyOverhead `json:"overhead"`
 }
 

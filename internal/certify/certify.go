@@ -5,10 +5,22 @@
 // re-solves, it only verifies that the artifact the solver emitted is a
 // correct plan for the problem the solver was given.
 //
-// Checks run in exact arithmetic over dyadic rationals (every float64
-// is one, and the checks are closed under +, −, ×; see dyadic.go), so
-// the checker shares no rounding behavior with the float64 solvers it
-// polices:
+// Each check is decided in exact arithmetic over dyadic rationals
+// (every float64 is one, and the checks are closed under +, −, ×; see
+// dyadic.go), so the checker shares no rounding behavior with the
+// float64 solvers it polices. Deciding every check exactly is not
+// needed to decide most of them: the tolerance bands are 1e-6 to 1e-4
+// of 1+|reference|, and float64 rounding is about 1e-16. So the check
+// list, written once against a tier of arithmetic (tier.go), first
+// runs in float64 intervals that provably enclose the exact values
+// (each operation rounded to nearest, then widened outward by one ulp;
+// a non-finite operand proves nothing). That tier can only prove a
+// pass. When it proves every comparison the plan passes; otherwise the
+// exact tier runs the list from the start and renders the verdict, so
+// every violation (cause, check, witness, detail) and every pass is
+// the exact tier's. This is the filtered exact predicate of Shewchuk's
+// "Adaptive Precision Floating-Point Arithmetic and Fast Robust
+// Geometric Predicates" (1997). The checks, in order:
 //
 //   - shape: slice lengths match the graph; no NaN or ±Inf anywhere
 //     (big.Rat.SetFloat64 silently no-ops on NaN, so this must come
@@ -27,10 +39,16 @@
 //     volume for residual replans;
 //   - LP optimality (Method "lp" only): the plan must carry the dual
 //     certificate from lp.Solve (Plan.Duals, Plan.ReducedCosts); the
-//     checker re-derives the formulation (production always builds it
-//     with core.FormulateOptions{}) and verifies primal feasibility,
-//     dual sign feasibility, carried-vs-recomputed reduced-cost
-//     consistency, complementary slackness, and a zero duality gap.
+//     checker re-derives the formulation once per call (production
+//     always builds it with core.FormulateOptions{}), shares it between
+//     the tiers, and verifies primal feasibility, dual sign
+//     feasibility, carried-vs-recomputed reduced-cost consistency,
+//     complementary slackness, and a zero duality gap.
+//
+// A work meter sees the same charges either way: the float tier
+// withholds its charges and, once it has proven a pass, charges the
+// count one unit at a time, so a budget trips on the same unit with
+// the same error as under the exact tier alone.
 //
 // Tolerances come from the documented ladder in internal/lp/tol.go:
 // volume and primal checks use lp.FeasCheckTol, dual-value comparisons
@@ -119,29 +137,13 @@ func (v *Violation) Error() string {
 // errors.Is.
 func (v *Violation) Unwrap() error { return v.Cause }
 
-// exceedsTol reports whether a > b + tol·(1+|b|), the one comparison
-// primitive all volume checks reduce to. a and b are exact; only the
-// tolerance band is approximate, and it is explicit.
-func exceedsTol(a, b *exact, tol float64) bool {
-	band := rat(tol)
-	scale := new(exact).Abs(b)
-	scale.Add(scale, new(exact).SetInt64(1))
-	band.Mul(band, scale)
-	lim := new(exact).Add(b, band)
-	return a.Cmp(lim) > 0
-}
-
-// differsTol reports whether |a − b| > tol·(1+|b|).
-func differsTol(a, b *exact, tol float64) bool {
-	return exceedsTol(a, b, tol) || exceedsTol(b, a, tol)
-}
-
 // CheckPlan certifies one volume plan against the graph it covers, the
 // configuration it was solved under, and the availability limits of its
 // constrained inputs (avail may be nil when the graph has none; pass the
 // same Availability the solver used). A non-nil cfg.Budget is charged
-// one work unit per checked node, edge, LP constraint, and LP variable;
-// a tripped budget aborts with its typed cause, not a certification
+// one work unit per checked node, edge, constrained input, LP
+// constraint (twice: primal row and dual sign) and LP variable; a
+// tripped budget aborts with its typed cause, not a certification
 // error.
 //
 // CheckPlan is certified parallel-safe: it only reads the plan and
@@ -150,17 +152,51 @@ func differsTol(a, b *exact, tol float64) bool {
 //
 //fluidvet:parallelsafe
 func CheckPlan(p *core.Plan, cfg core.Config, avail core.Availability) error {
+	c, err := newPlanCheck(p, cfg, avail)
+	if err != nil {
+		return err
+	}
+	fast := tier{float: true}
+	if c.run(&fast) == nil {
+		return fast.proven(cfg.Budget)
+	}
+	return c.run(&tier{meter: cfg.Budget})
+}
+
+// planCheck is CheckPlan's check list bound to one plan. The shape
+// check and the LP formulation involve no arithmetic on the plan's
+// values, so both are settled once, before either tier runs.
+type planCheck struct {
+	p     *core.Plan
+	cfg   core.Config
+	avail core.Availability
+	// f (or the error deriving it) is the formulation an LP plan is
+	// checked against; nil for other methods.
+	f    *core.Formulation
+	ferr error
+}
+
+func newPlanCheck(p *core.Plan, cfg core.Config, avail core.Availability) (planCheck, error) {
 	if err := checkShape(p); err != nil {
-		return err
+		return planCheck{}, err
 	}
-	if err := checkVolumes(p, cfg); err != nil {
-		return err
-	}
-	if err := checkAvailability(p, cfg, avail); err != nil {
-		return err
-	}
+	c := planCheck{p: p, cfg: cfg, avail: avail}
 	if p.Method == "lp" {
-		return checkLP(p, cfg, avail)
+		c.f, c.ferr = core.Formulate(p.Graph, cfg, core.FormulateOptions{}, avail)
+	}
+	return c, nil
+}
+
+// run evaluates the check list in tier t, in its fixed order.
+func (c *planCheck) run(t *tier) error {
+	if err := t.checkVolumes(c.p, c.cfg); err != nil {
+		return err
+	}
+	if err := t.checkAvailability(c.p, c.avail); err != nil {
+		return err
+	}
+	if c.p.Method == "lp" {
+		return t.checkLP(c.p, c.f, c.ferr)
 	}
 	return nil
 }
@@ -213,34 +249,34 @@ func checkShape(p *core.Plan) error {
 }
 
 // checkVolumes runs the DAG-level conservation, production-identity,
-// non-deficit, capacity, and least-count checks in exact arithmetic.
-func checkVolumes(p *core.Plan, cfg core.Config) error {
+// non-deficit, capacity, and least-count checks.
+func (t *tier) checkVolumes(p *core.Plan, cfg core.Config) error {
 	g := p.Graph
-	maxCap := rat(cfg.MaxCapacity)
-	leastCount := rat(cfg.LeastCount)
-	zero := new(exact)
-	margin := rat(1 + cfg.SafetyMargin)
+	maxCap := t.of(cfg.MaxCapacity)
+	leastCount := t.of(cfg.LeastCount)
+	zero := t.of(0)
+	margin := t.of(1 + cfg.SafetyMargin)
 	for _, n := range g.Nodes() {
 		if n == nil {
 			continue
 		}
-		if err := cfg.Budget.Charge(1); err != nil {
+		if err := t.charge(); err != nil {
 			return err
 		}
 		id := n.ID()
-		nodeVol := rat(p.NodeVolume[id])
-		prod := rat(p.Production[id])
+		nodeVol := t.of(p.NodeVolume[id])
+		prod := t.of(p.Production[id])
 
 		// Conservation: a non-source node holds exactly what was dispensed
 		// into it.
 		if !n.IsSource() {
-			in := new(exact)
+			in := zero
 			for _, e := range n.In() {
-				in.Add(in, rat(p.EdgeVolume[e.ID()]))
+				in = t.add(in, t.of(p.EdgeVolume[e.ID()]))
 			}
-			if differsTol(nodeVol, in, lp.FeasCheckTol) {
+			if t.differs(nodeVol, in, lp.FeasCheckTol) {
 				return &Violation{Cause: ErrConservation, Check: "conservation/node-input", Where: n.String(),
-					Detail: fmt.Sprintf("node volume %g vs inbound sum %s", p.NodeVolume[id], in.FloatString(9))}
+					Detail: fmt.Sprintf("node volume %g vs inbound sum %s", p.NodeVolume[id], t.str(in))}
 			}
 		}
 
@@ -248,40 +284,40 @@ func checkVolumes(p *core.Plan, cfg core.Config) error {
 		// it holds. dagsolve discounts cascade discard; the LP formulation
 		// models excess as explicit edges instead, so its identity has no
 		// discard factor.
-		want := new(exact).Set(nodeVol)
+		want := nodeVol
 		if !n.IsSource() {
-			want.Mul(want, rat(n.OutFrac))
+			want = t.mul(want, t.of(n.OutFrac))
 		}
 		if p.Method != "lp" {
-			want.Mul(want, rat(1-n.Discard))
+			want = t.mul(want, t.of(1-n.Discard))
 		}
-		if differsTol(prod, want, lp.FeasCheckTol) {
+		if t.differs(prod, want, lp.FeasCheckTol) {
 			return &Violation{Cause: ErrConservation, Check: "conservation/production", Where: n.String(),
-				Detail: fmt.Sprintf("production %g vs identity %s", p.Production[id], want.FloatString(9))}
+				Detail: fmt.Sprintf("production %g vs identity %s", p.Production[id], t.str(want))}
 		}
 
 		// Non-deficit: planned draws (with safety margin) within production.
 		if !n.IsLeaf() {
-			out := new(exact)
+			out := zero
 			for _, e := range n.Out() {
 				if e.To.Kind == dag.Excess {
 					continue // surplus by construction, not a consumer draw
 				}
-				out.Add(out, rat(p.EdgeVolume[e.ID()]))
+				out = t.add(out, t.of(p.EdgeVolume[e.ID()]))
 			}
-			out.Mul(out, margin)
-			if exceedsTol(out, prod, lp.FeasCheckTol) {
+			out = t.mul(out, margin)
+			if t.exceeds(out, prod, lp.FeasCheckTol) {
 				return &Violation{Cause: ErrConservation, Check: "conservation/non-deficit", Where: n.String(),
-					Detail: fmt.Sprintf("(1+margin)·draws %s exceed production %g", out.FloatString(9), p.Production[id])}
+					Detail: fmt.Sprintf("(1+margin)·draws %s exceed production %g", t.str(out), p.Production[id])}
 			}
 		}
 
 		// Capacity: 0 ≤ volume ≤ MaxCapacity.
-		if exceedsTol(nodeVol, maxCap, lp.FeasCheckTol) {
+		if t.exceeds(nodeVol, maxCap, lp.FeasCheckTol) {
 			return &Violation{Cause: ErrCapacity, Check: "capacity/max", Where: n.String(),
 				Detail: fmt.Sprintf("volume %g exceeds capacity %g", p.NodeVolume[id], cfg.MaxCapacity)}
 		}
-		if exceedsTol(zero, nodeVol, lp.FeasCheckTol) {
+		if t.exceeds(zero, nodeVol, lp.FeasCheckTol) {
 			return &Violation{Cause: ErrCapacity, Check: "capacity/negative", Where: n.String(),
 				Detail: fmt.Sprintf("volume %g is negative", p.NodeVolume[id])}
 		}
@@ -289,7 +325,7 @@ func checkVolumes(p *core.Plan, cfg core.Config) error {
 		// FFU minimum: total input at least the kind's configured minimum.
 		if !n.IsSource() {
 			if min := cfg.MinFor(n); min > cfg.LeastCount {
-				if exceedsTol(rat(min), nodeVol, lp.FeasCheckTol) {
+				if t.exceeds(t.of(min), nodeVol, lp.FeasCheckTol) {
 					return &Violation{Cause: ErrLeastCount, Check: "least-count/node-min", Where: n.String(),
 						Detail: fmt.Sprintf("volume %g below minimum %g", p.NodeVolume[id], min)}
 				}
@@ -300,10 +336,10 @@ func checkVolumes(p *core.Plan, cfg core.Config) error {
 		if e == nil {
 			continue
 		}
-		if err := cfg.Budget.Charge(1); err != nil {
+		if err := t.charge(); err != nil {
 			return err
 		}
-		if exceedsTol(leastCount, rat(p.EdgeVolume[e.ID()]), lp.FeasCheckTol) {
+		if t.exceeds(leastCount, t.of(p.EdgeVolume[e.ID()]), lp.FeasCheckTol) {
 			return &Violation{Cause: ErrLeastCount, Check: "least-count/dispense", Where: edgeLabel(e),
 				Detail: fmt.Sprintf("dispense %g below least count %g", p.EdgeVolume[e.ID()], cfg.LeastCount)}
 		}
@@ -313,12 +349,12 @@ func checkVolumes(p *core.Plan, cfg core.Config) error {
 
 // checkAvailability verifies that no constrained input draws beyond what
 // its source holds.
-func checkAvailability(p *core.Plan, cfg core.Config, avail core.Availability) error {
+func (t *tier) checkAvailability(p *core.Plan, avail core.Availability) error {
 	for _, n := range p.Graph.Nodes() {
 		if n == nil || n.Kind != dag.ConstrainedInput {
 			continue
 		}
-		if err := cfg.Budget.Charge(1); err != nil {
+		if err := t.charge(); err != nil {
 			return err
 		}
 		if avail == nil {
@@ -334,7 +370,7 @@ func checkAvailability(p *core.Plan, cfg core.Config, avail core.Availability) e
 			return &Violation{Cause: ErrAvailability, Check: "availability/finite", Where: n.String(),
 				Detail: fmt.Sprintf("availability %v", a)}
 		}
-		if exceedsTol(rat(p.NodeVolume[n.ID()]), rat(a), lp.FeasCheckTol) {
+		if t.exceeds(t.of(p.NodeVolume[n.ID()]), t.of(a), lp.FeasCheckTol) {
 			return &Violation{Cause: ErrAvailability, Check: "availability/limit", Where: n.String(),
 				Detail: fmt.Sprintf("draw %g exceeds available %g", p.NodeVolume[n.ID()], a)}
 		}
@@ -342,15 +378,15 @@ func checkAvailability(p *core.Plan, cfg core.Config, avail core.Availability) e
 	return nil
 }
 
-// checkLP verifies the optimality certificate of an LP plan: re-derive
-// the formulation the production paths use (core.FormulateOptions{}),
-// reconstruct the solution vector from the plan, and verify the KKT
-// conditions against the carried duals and reduced costs.
-func checkLP(p *core.Plan, cfg core.Config, avail core.Availability) error {
-	f, err := core.Formulate(p.Graph, cfg, core.FormulateOptions{}, avail)
-	if err != nil {
+// checkLP verifies the optimality certificate of an LP plan against f,
+// the formulation the production paths use (core.FormulateOptions{})
+// re-derived for this plan (ferr when that failed): reconstruct the
+// solution vector from the plan, and verify the KKT conditions against
+// the carried duals and reduced costs.
+func (t *tier) checkLP(p *core.Plan, f *core.Formulation, ferr error) error {
+	if ferr != nil {
 		return &Violation{Cause: ErrShape, Check: "lp/formulate", Where: "plan",
-			Detail: fmt.Sprintf("cannot re-derive formulation: %v", err)}
+			Detail: fmt.Sprintf("cannot re-derive formulation: %v", ferr)}
 	}
 	prob := f.Prob
 	nv, nc := prob.NumVariables(), prob.NumConstraints()
@@ -365,11 +401,16 @@ func checkLP(p *core.Plan, cfg core.Config, avail core.Availability) error {
 				len(p.Duals), len(p.ReducedCosts), nc, nv)}
 	}
 
-	// Reconstruct X from the plan through the formulation's variable maps.
-	x := make([]*exact, nv)
+	// Reconstruct X from the plan through the formulation's variable
+	// maps. The plan's values are finite (checkShape), so NaN marks a
+	// variable no map reaches.
+	vals := make([]float64, nv)
+	for j := range vals {
+		vals[j] = math.NaN()
+	}
 	for _, e := range p.Graph.Edges() {
 		if e != nil {
-			x[f.EdgeVar[e.ID()]] = rat(p.EdgeVolume[e.ID()])
+			vals[f.EdgeVar[e.ID()]] = p.EdgeVolume[e.ID()]
 		}
 	}
 	for _, n := range p.Graph.Nodes() {
@@ -377,26 +418,29 @@ func checkLP(p *core.Plan, cfg core.Config, avail core.Availability) error {
 			continue
 		}
 		if v := f.SourceVar[n.ID()]; v >= 0 {
-			x[v] = rat(p.NodeVolume[n.ID()])
+			vals[v] = p.NodeVolume[n.ID()]
 		}
 		if v := f.ProdVar[n.ID()]; v >= 0 {
-			x[v] = rat(p.Production[n.ID()])
+			vals[v] = p.Production[n.ID()]
 		}
 	}
-	for j := range x {
-		if x[j] == nil {
+	x := make([]num, nv)
+	for j, v := range vals {
+		if math.IsNaN(v) {
 			return &Violation{Cause: ErrShape, Check: "lp/variable-unmapped", Where: prob.VariableName(lp.VarID(j)),
 				Detail: "formulation variable not reconstructible from plan"}
 		}
+		x[j] = t.of(v)
 	}
 
 	// The formulation is always Maximize; normalize the certificate to
 	// minimization form (c̃ = σ·c, ỹ = σ·y, r̃ = σ·r with σ = −1) so the
 	// sign conditions below read uniformly: LE rows need ỹ ≤ 0, GE rows
-	// ỹ ≥ 0, and low-bounded variables need r̃ ≥ 0.
-	sigma := new(exact).SetInt64(1)
+	// ỹ ≥ 0, and low-bounded variables need r̃ ≥ 0. A float64 sign flip
+	// is exact, so σ applies before conversion.
+	sigma := 1.0
 	if prob.Direction() == lp.Maximize {
-		sigma.SetInt64(-1)
+		sigma = -1
 	}
 
 	conName := func(i int) string {
@@ -408,61 +452,59 @@ func checkLP(p *core.Plan, cfg core.Config, avail core.Availability) error {
 
 	// Primal feasibility: every row and every variable bound.
 	tolBand := lp.FeasCheckTol
-	rowAct := make([]*exact, nc)
+	zero := t.of(0)
+	rowAct := make([]num, nc)
 	for i := 0; i < nc; i++ {
-		if err := cfg.Budget.Charge(1); err != nil {
+		if err := t.charge(); err != nil {
 			return err
 		}
 		terms, sense, rhs := prob.Constraint(lp.ConID(i))
-		act := new(exact)
-		tmp := new(exact)
-		for _, t := range terms {
-			tmp.Mul(rat(t.Coef), x[t.Var])
-			act.Add(act, tmp)
+		act := zero
+		for _, tm := range terms {
+			act = t.add(act, t.mul(t.of(tm.Coef), x[tm.Var]))
 		}
 		rowAct[i] = act
-		rhsR := rat(rhs)
+		rhsR := t.of(rhs)
 		violated := false
 		switch sense {
 		case lp.LE:
-			violated = exceedsTol(act, rhsR, tolBand)
+			violated = t.exceeds(act, rhsR, tolBand)
 		case lp.GE:
-			violated = exceedsTol(rhsR, act, tolBand)
+			violated = t.exceeds(rhsR, act, tolBand)
 		case lp.EQ:
-			violated = differsTol(act, rhsR, tolBand)
+			violated = t.differs(act, rhsR, tolBand)
 		}
 		if violated {
 			return &Violation{Cause: ErrPrimal, Check: "lp/primal-row", Where: conName(i),
-				Detail: fmt.Sprintf("activity %s %s rhs %g violated", act.FloatString(9), sense, rhs)}
+				Detail: fmt.Sprintf("activity %s %s rhs %g violated", t.str(act), sense, rhs)}
 		}
 	}
 	for j := 0; j < nv; j++ {
 		lo, hi := prob.Bounds(lp.VarID(j))
-		if !math.IsInf(lo, -1) && exceedsTol(rat(lo), x[j], tolBand) {
+		if !math.IsInf(lo, -1) && t.exceeds(t.of(lo), x[j], tolBand) {
 			return &Violation{Cause: ErrPrimal, Check: "lp/primal-bound", Where: prob.VariableName(lp.VarID(j)),
-				Detail: fmt.Sprintf("value %s below lower bound %g", x[j].FloatString(9), lo)}
+				Detail: fmt.Sprintf("value %s below lower bound %g", t.str(x[j]), lo)}
 		}
-		if !math.IsInf(hi, 1) && exceedsTol(x[j], rat(hi), tolBand) {
+		if !math.IsInf(hi, 1) && t.exceeds(x[j], t.of(hi), tolBand) {
 			return &Violation{Cause: ErrPrimal, Check: "lp/primal-bound", Where: prob.VariableName(lp.VarID(j)),
-				Detail: fmt.Sprintf("value %s above upper bound %g", x[j].FloatString(9), hi)}
+				Detail: fmt.Sprintf("value %s above upper bound %g", t.str(x[j]), hi)}
 		}
 	}
 
 	// Dual sign feasibility per row sense, in min-form.
-	zero := new(exact)
-	yTil := make([]*exact, nc)
+	yTil := make([]num, nc)
 	for i := 0; i < nc; i++ {
-		if err := cfg.Budget.Charge(1); err != nil {
+		if err := t.charge(); err != nil {
 			return err
 		}
-		yTil[i] = new(exact).Mul(sigma, rat(p.Duals[i]))
+		yTil[i] = t.of(sigma * p.Duals[i])
 		_, sense, _ := prob.Constraint(lp.ConID(i))
 		violated := false
 		switch sense {
 		case lp.LE: // min-form LE rows price at ỹ ≤ 0
-			violated = exceedsTol(yTil[i], zero, lp.SolutionTol)
+			violated = t.exceeds(yTil[i], zero, lp.SolutionTol)
 		case lp.GE:
-			violated = exceedsTol(zero, yTil[i], lp.SolutionTol)
+			violated = t.exceeds(zero, yTil[i], lp.SolutionTol)
 		}
 		if violated {
 			return &Violation{Cause: ErrDual, Check: "lp/dual-sign", Where: conName(i),
@@ -471,36 +513,33 @@ func checkLP(p *core.Plan, cfg core.Config, avail core.Availability) error {
 	}
 
 	// Reduced-cost consistency: the carried reduced costs must equal
-	// c_j − Σ_i y_i·a_ij recomputed exactly from the formulation. This is
-	// the check that pins the certificate to the plan: perturb any dual
-	// or reduced cost and the identity breaks by the full perturbation.
-	rTil := make([]*exact, nv)
+	// c_j − Σ_i y_i·a_ij recomputed from the formulation. This is the
+	// check that pins the certificate to the plan: perturb any dual or
+	// reduced cost and the identity breaks by the full perturbation.
+	rTil := make([]num, nv)
 	for j := 0; j < nv; j++ {
-		rTil[j] = new(exact).Mul(sigma, rat(prob.Objective(lp.VarID(j))))
+		rTil[j] = t.of(sigma * prob.Objective(lp.VarID(j)))
 	}
-	tmp := new(exact)
 	for i := 0; i < nc; i++ {
 		terms, _, _ := prob.Constraint(lp.ConID(i))
-		for _, t := range terms {
-			tmp.Mul(yTil[i], rat(t.Coef))
-			rTil[t.Var].Sub(rTil[t.Var], tmp)
+		for _, tm := range terms {
+			rTil[tm.Var] = t.sub(rTil[tm.Var], t.mul(yTil[i], t.of(tm.Coef)))
 		}
 	}
 	for j := 0; j < nv; j++ {
-		if err := cfg.Budget.Charge(1); err != nil {
+		if err := t.charge(); err != nil {
 			return err
 		}
-		carried := new(exact).Mul(sigma, rat(p.ReducedCosts[j]))
-		if differsTol(carried, rTil[j], lp.SolutionTol) {
+		if t.differs(t.of(sigma*p.ReducedCosts[j]), rTil[j], lp.SolutionTol) {
 			return &Violation{Cause: ErrDual, Check: "lp/reduced-cost", Where: prob.VariableName(lp.VarID(j)),
-				Detail: fmt.Sprintf("carried reduced cost %g vs recomputed %s", p.ReducedCosts[j], rTil[j].FloatString(9))}
+				Detail: fmt.Sprintf("carried reduced cost %g vs recomputed %s", p.ReducedCosts[j], t.str(rTil[j]))}
 		}
 		// Dual feasibility of the bound multipliers: with no finite upper
 		// bounds in the formulation, a low-bounded variable needs r̃ ≥ 0.
 		lo, hi := prob.Bounds(lp.VarID(j))
-		if math.IsInf(hi, 1) && !math.IsInf(lo, -1) && exceedsTol(zero, rTil[j], lp.SolutionTol) {
+		if math.IsInf(hi, 1) && !math.IsInf(lo, -1) && t.exceeds(zero, rTil[j], lp.SolutionTol) {
 			return &Violation{Cause: ErrDual, Check: "lp/reduced-cost-sign", Where: prob.VariableName(lp.VarID(j)),
-				Detail: fmt.Sprintf("reduced cost %s negative with no upper bound", rTil[j].FloatString(9))}
+				Detail: fmt.Sprintf("reduced cost %s negative with no upper bound", t.str(rTil[j]))}
 		}
 	}
 
@@ -511,9 +550,8 @@ func checkLP(p *core.Plan, cfg core.Config, avail core.Availability) error {
 		if sense == lp.EQ {
 			continue
 		}
-		slack := new(exact).Sub(rat(rhs), rowAct[i])
-		slack.Abs(slack)
-		if exceedsTol(slack, zero, lp.FeasCheckTol) && differsTol(yTil[i], zero, lp.FeasCheckTol) {
+		slack := t.abs(t.sub(t.of(rhs), rowAct[i]))
+		if t.exceeds(slack, zero, lp.FeasCheckTol) && t.differs(yTil[i], zero, lp.FeasCheckTol) {
 			return &Violation{Cause: ErrDual, Check: "lp/slackness-row", Where: conName(i),
 				Detail: fmt.Sprintf("slack row priced at dual %g", p.Duals[i])}
 		}
@@ -523,37 +561,34 @@ func checkLP(p *core.Plan, cfg core.Config, avail core.Availability) error {
 		if math.IsInf(lo, -1) {
 			continue
 		}
-		gap := new(exact).Sub(x[j], rat(lo))
-		if exceedsTol(gap, zero, lp.FeasCheckTol) && differsTol(rTil[j], zero, lp.FeasCheckTol) {
+		gap := t.sub(x[j], t.of(lo))
+		if t.exceeds(gap, zero, lp.FeasCheckTol) && t.differs(rTil[j], zero, lp.FeasCheckTol) {
 			return &Violation{Cause: ErrDual, Check: "lp/slackness-var", Where: prob.VariableName(lp.VarID(j)),
-				Detail: fmt.Sprintf("interior variable has reduced cost %s", rTil[j].FloatString(9))}
+				Detail: fmt.Sprintf("interior variable has reduced cost %s", t.str(rTil[j]))}
 		}
 	}
 
 	// Zero duality gap: the primal objective must meet the dual bound
 	// b·ỹ + Σ_j max(r̃_j, 0)·lo_j (no finite upper bounds exist).
-	primal := new(exact)
+	primal := zero
 	for j := 0; j < nv; j++ {
-		tmp.Mul(new(exact).Mul(sigma, rat(prob.Objective(lp.VarID(j)))), x[j])
-		primal.Add(primal, tmp)
+		primal = t.add(primal, t.mul(t.of(sigma*prob.Objective(lp.VarID(j))), x[j]))
 	}
-	dual := new(exact)
+	dual := zero
 	for i := 0; i < nc; i++ {
 		_, _, rhs := prob.Constraint(lp.ConID(i))
-		tmp.Mul(yTil[i], rat(rhs))
-		dual.Add(dual, tmp)
+		dual = t.add(dual, t.mul(yTil[i], t.of(rhs)))
 	}
 	for j := 0; j < nv; j++ {
 		lo, _ := prob.Bounds(lp.VarID(j))
-		if math.IsInf(lo, -1) || rTil[j].Sign() <= 0 {
+		if math.IsInf(lo, -1) {
 			continue
 		}
-		tmp.Mul(rTil[j], rat(lo))
-		dual.Add(dual, tmp)
+		dual = t.add(dual, t.mul(t.pos(rTil[j]), t.of(lo)))
 	}
-	if differsTol(primal, dual, lp.ObjectiveRelTol) {
+	if t.differs(primal, dual, lp.ObjectiveRelTol) {
 		return &Violation{Cause: ErrGap, Check: "lp/gap", Where: "objective",
-			Detail: fmt.Sprintf("primal %s vs dual bound %s", primal.FloatString(9), dual.FloatString(9))}
+			Detail: fmt.Sprintf("primal %s vs dual bound %s", t.str(primal), t.str(dual))}
 	}
 	return nil
 }
@@ -581,44 +616,69 @@ func CheckResidual(rp *core.ResidualPlan, cfg core.Config, live core.Measure) er
 // instruction at that pc draws from — the same mapping the repair engine
 // used to build the patches.
 func CheckPatches(rp *core.ResidualPlan, patches map[int]float64, resolve func(pc int) (edge, node int)) error {
-	edgeVols := rp.EdgeVolumes()
-	inputVols := rp.InputVolumes()
+	c := newPatchCheck(rp, patches, resolve)
+	if c.run(&tier{float: true}) == nil {
+		return nil
+	}
+	return c.run(&tier{})
+}
+
+// patchCheck is CheckPatches' check list bound to one patch map.
+type patchCheck struct {
+	patches   map[int]float64
+	pcs       []int // patched pcs, ascending
+	edgeVols  map[int]float64
+	inputVols map[int]float64
+	resolve   func(pc int) (edge, node int)
+}
+
+func newPatchCheck(rp *core.ResidualPlan, patches map[int]float64, resolve func(pc int) (edge, node int)) *patchCheck {
 	pcs := make([]int, 0, len(patches))
 	for pc := range patches {
 		pcs = append(pcs, pc)
 	}
 	sort.Ints(pcs)
-	for _, pc := range pcs {
-		got := patches[pc]
+	return &patchCheck{patches: patches, pcs: pcs, edgeVols: rp.EdgeVolumes(), inputVols: rp.InputVolumes(), resolve: resolve}
+}
+
+// run evaluates the check list in tier t, in pc order.
+func (c *patchCheck) run(t *tier) error {
+	for _, pc := range c.pcs {
+		got := c.patches[pc]
 		if math.IsNaN(got) || math.IsInf(got, 0) {
 			return &Violation{Cause: ErrPatch, Check: "patch/finite", Where: fmt.Sprintf("pc %d", pc),
 				Detail: fmt.Sprintf("patched volume %v", got)}
 		}
-		edge, node := resolve(pc)
+		edge, node := c.resolve(pc)
 		var want float64
 		var ok bool
-		var what string
 		switch {
 		case edge >= 0:
-			want, ok = edgeVols[edge]
-			what = fmt.Sprintf("edge %d", edge)
+			want, ok = c.edgeVols[edge]
 		case node >= 0:
-			want, ok = inputVols[node]
-			what = fmt.Sprintf("input node %d", node)
+			want, ok = c.inputVols[node]
 		default:
 			return &Violation{Cause: ErrPatch, Check: "patch/unmapped", Where: fmt.Sprintf("pc %d", pc),
 				Detail: "patched instruction draws from no replanned edge or input"}
 		}
 		if !ok {
 			return &Violation{Cause: ErrPatch, Check: "patch/missing", Where: fmt.Sprintf("pc %d", pc),
-				Detail: fmt.Sprintf("replan has no volume for %s", what)}
+				Detail: fmt.Sprintf("replan has no volume for %s", patchTarget(edge, node))}
 		}
-		if differsTol(rat(got), rat(want), lp.SolutionTol) {
+		if t.differs(t.of(got), t.of(want), lp.SolutionTol) {
 			return &Violation{Cause: ErrPatch, Check: "patch/value", Where: fmt.Sprintf("pc %d", pc),
-				Detail: fmt.Sprintf("patched volume %g vs certified %g for %s", got, want, what)}
+				Detail: fmt.Sprintf("patched volume %g vs certified %g for %s", got, want, patchTarget(edge, node))}
 		}
 	}
 	return nil
+}
+
+// patchTarget names what a patched instruction draws from.
+func patchTarget(edge, node int) string {
+	if edge >= 0 {
+		return fmt.Sprintf("edge %d", edge)
+	}
+	return fmt.Sprintf("input node %d", node)
 }
 
 func edgeLabel(e *dag.Edge) string {

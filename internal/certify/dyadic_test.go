@@ -67,14 +67,16 @@ func TestExactAliasing(t *testing.T) {
 
 // The checker's cost contract (see EXPERIMENTS.md E16): certification
 // must stay a small fraction of managed planning on solve-dominated
-// assays. These benchmarks record the per-plan cost the dyadic
-// representation buys — run with -bench to compare against Manage.
+// assays. These benchmarks record the per-plan cost of a passing plan,
+// which the float tier proves — run with -bench to compare against
+// Manage.
 func BenchmarkCheckPlanGlucose(b *testing.B) {
 	res, err := core.Manage(assays.GlucoseDAG(), core.DefaultConfig(), core.ManageOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	av := core.StaticAvailability(core.DefaultConfig())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := CheckPlan(res.Plan, core.DefaultConfig(), av); err != nil {
@@ -89,6 +91,7 @@ func BenchmarkCheckPlanEnzyme4(b *testing.B) {
 		b.Fatal(err)
 	}
 	av := core.StaticAvailability(core.DefaultConfig())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := CheckPlan(res.Plan, core.DefaultConfig(), av); err != nil {

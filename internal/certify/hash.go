@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"sort"
 
@@ -23,13 +22,12 @@ import (
 // node volume, production, edge volume, dual, and reduced cost in id
 // order. Bit-identical plans — the determinism contract the replay
 // gates already enforce — therefore hash identically across runs and
-// resumes.
+// resumes. The encoding is appended into one buffer and checksummed
+// once.
 
 // PlanHash returns the certificate hash of a plan.
 func PlanHash(p *core.Plan) uint32 {
-	h := crc32.NewIEEE()
-	writePlan(h, p)
-	return h.Sum32()
+	return crc32.ChecksumIEEE(appendPlan(make([]byte, 0, planBytes(p)), p))
 }
 
 // VerifyHash compares a recomputed certificate hash against the
@@ -50,33 +48,33 @@ func VerifyHash(recomputed, journaled uint32) error {
 // ReplanHash returns the certificate hash of a residual replan together
 // with its instruction patch map (pc → volume, encoded in pc order).
 func ReplanHash(rp *core.ResidualPlan, patches map[int]float64) uint32 {
-	h := crc32.NewIEEE()
-	writePlan(h, rp.Plan)
 	pcs := make([]int, 0, len(patches))
 	for pc := range patches {
 		pcs = append(pcs, pc)
 	}
 	sort.Ints(pcs)
-	writeU64(h, uint64(len(pcs)))
+	b := appendPlan(make([]byte, 0, planBytes(rp.Plan)+8+16*len(pcs)), rp.Plan)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(pcs)))
 	for _, pc := range pcs {
-		writeU64(h, uint64(int64(pc)))
-		writeU64(h, math.Float64bits(patches[pc]))
+		b = binary.LittleEndian.AppendUint64(b, uint64(int64(pc)))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(patches[pc]))
 	}
-	return h.Sum32()
+	return crc32.ChecksumIEEE(b)
 }
 
-func writePlan(w io.Writer, p *core.Plan) {
-	io.WriteString(w, p.Method)
-	for _, s := range [][]float64{p.NodeVolume, p.Production, p.EdgeVolume, p.Duals, p.ReducedCosts} {
-		writeU64(w, uint64(len(s)))
+// planBytes is the length of a plan's encoding.
+func planBytes(p *core.Plan) int {
+	n := len(p.NodeVolume) + len(p.Production) + len(p.EdgeVolume) + len(p.Duals) + len(p.ReducedCosts)
+	return len(p.Method) + 8*(5+n)
+}
+
+func appendPlan(b []byte, p *core.Plan) []byte {
+	b = append(b, p.Method...)
+	for _, s := range [...][]float64{p.NodeVolume, p.Production, p.EdgeVolume, p.Duals, p.ReducedCosts} {
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(s)))
 		for _, v := range s {
-			writeU64(w, math.Float64bits(v))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 		}
 	}
-}
-
-func writeU64(w io.Writer, v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	w.Write(buf[:])
+	return b
 }

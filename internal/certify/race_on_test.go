@@ -1,0 +1,5 @@
+//go:build race
+
+package certify_test
+
+const raceEnabled = true
