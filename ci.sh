@@ -116,8 +116,9 @@ cmp "$tmp/run1.out" "$tmp/run2.out"
 
 echo "== durable execution: crash + resume =="
 # A journaled run killed mid-flight must resume from its write-ahead
-# journal to stdout byte-identical to the uninterrupted run's, and a
-# journal with a torn tail must recover instead of failing.
+# journal to stdout byte-identical to the uninterrupted run's, a
+# journal with a torn tail must recover instead of failing, and a
+# shipped (listing, volume table) pair must resume like its source.
 go build -o "$tmp/fluidvm" ./cmd/fluidvm
 "$tmp/fluidvm" -faults moderate -seed 42 -journal "$tmp/ref.aqj" testdata/glucose.asy >"$tmp/ref.out"
 status=0
@@ -129,6 +130,18 @@ size=$(wc -c <"$tmp/crash.aqj")
 head -c $((size - 5)) "$tmp/crash.aqj" >"$tmp/torn.aqj"
 "$tmp/fluidvm" -resume "$tmp/torn.aqj" testdata/glucose.asy >"$tmp/torn.out" 2>/dev/null
 cmp "$tmp/ref.out" "$tmp/torn.out"
+# A listing with no DAG recovers by retries alone, so its reference run
+# may end degraded (exit 2); the resume must end the same way.
+shipped="-ais $tmp/glucose.ais -voltab $tmp/glucose.vol"
+refstatus=0
+"$tmp/fluidvm" $shipped -faults moderate -seed 42 -journal "$tmp/sref.aqj" >"$tmp/sref.out" || refstatus=$?
+status=0
+"$tmp/fluidvm" $shipped -faults moderate -seed 42 -journal "$tmp/scrash.aqj" -crash-at 10 >/dev/null 2>&1 || status=$?
+[ "$status" -eq 3 ]
+status=0
+"$tmp/fluidvm" $shipped -resume "$tmp/scrash.aqj" >"$tmp/sresume.out" 2>/dev/null || status=$?
+[ "$status" -eq "$refstatus" ]
+cmp "$tmp/sref.out" "$tmp/sresume.out"
 
 echo "== adaptive replanning: determinism + crash at a replan boundary =="
 # Replanning re-solves the residual DAG around measured volumes. The

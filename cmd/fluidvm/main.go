@@ -40,11 +40,13 @@
 // -force-journal is given. -resume restores the newest usable snapshot
 // from such a journal and continues, falling back to earlier snapshots
 // (and ultimately a restart) when the newest is unrestorable; the run
-// configuration (profile, seed, margin, yield, retry budget, cadence) is
-// taken from the journal's opening record, not from flags, and the
-// recompiled program must hash-match the journaled one. The assay is
-// compiled once per -resume, and every fallback rung gets a fresh
-// machine from that compile. Because
+// configuration (profile, seed, margin, yield, retry budget, cadence,
+// replanning) is taken from the journal's opening begin record, not from
+// flags, and the rebuilt program must hash-match the journaled one. The
+// program is built once per -resume (the assay compiled at the journaled
+// margin, or the -ais listing and volume table assembled), and every
+// fallback rung gets a fresh machine from it. A run executes its first
+// instruction only after its begin record is durable. Because
 // execution is deterministic, a resumed run finishes bit-identical to
 // one that was never interrupted. -crash-at N simulates a process kill
 // after instruction boundary N (chaos testing). All three imply -recover.
@@ -86,7 +88,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"sort"
@@ -157,97 +158,61 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, err)
 	}
-	var traceFn func(aquacore.TraceEntry)
-	var eventFn func(aquacore.Event)
+	acfg := aquacore.Config{SeparationYield: *yield, Budget: meter}
 	if *trace {
-		traceFn = traceTo(stderr)
-		eventFn = eventTo(stderr)
+		acfg.Trace, acfg.EventTrace = traceTo(stderr), eventTo(stderr)
+	}
+	// build compiles the assay at a safety margin, or assembles the
+	// shipped listing: the program a run (or a resume) executes.
+	build := func(margin float64) (*recovery.Executable, error) {
+		if *aisFile != "" {
+			return shipped(*aisFile, *volFile)
+		}
+		if fs.NArg() != 1 {
+			return nil, errUsage
+		}
+		res, err := compile(fs.Arg(0), margin, *noCertify, meter, stderr)
+		if err != nil {
+			return nil, err
+		}
+		return res.Executable(fs.Arg(0)), nil
 	}
 
 	if *resumePath != "" {
-		return doResume(fsys, *resumePath, fs.Args(), *aisFile, *volFile, *noCertify, meter, traceFn, eventFn, stdout, stderr)
+		return resume(fsys, *resumePath, build, acfg, *noCertify, stdout, stderr)
 	}
 
 	prof, err := faults.ParseProfile(*faultSpec)
 	if err != nil {
 		return fail(stderr, err)
 	}
-	var inj *faults.Injector
-	if prof.Enabled() {
-		inj = faults.New(prof, *seed)
-	}
-	doRecover := *rec || *replan || *journalPath != "" || *crashAt >= 0
 	ropts := recovery.Options{RetriesPerInstr: *retries, SnapshotEvery: *snapEvery, EnableReplan: *replan, NoCertify: *noCertify}
 	if *crashAt >= 0 {
 		ropts.Crash = faults.CrashAt(*crashAt)
 	}
-
-	// Build the program and machine.
-	var (
-		prog     *ais.Program
-		comp     *recovery.Compiled
-		m        *aquacore.Machine
-		name     string
-		certHash uint32
-	)
-	acfg := aquacore.Config{SeparationYield: *yield, Trace: traceFn, EventTrace: eventFn, Faults: inj, Budget: meter}
-	if *aisFile != "" {
-		name = *aisFile
-		prog, m, err = buildShipped(*aisFile, *volFile, acfg)
-	} else {
-		if fs.NArg() != 1 {
-			fmt.Fprintln(stderr, "usage: fluidvm [flags] assay.asy")
-			return exitUsage
-		}
-		name = fs.Arg(0)
-		var res *pipeline.Result
-		if res, err = compile(name, *margin, *noCertify, meter, stderr); err == nil {
-			prog, comp, certHash = res.Prog, res.Compiled(), res.CertHash
-			m, err = res.Machine(acfg)
-		}
+	x, err := build(*margin)
+	if errors.Is(err, errUsage) {
+		fmt.Fprintln(stderr, "usage: fluidvm [flags] assay.asy")
+		return exitUsage
 	}
 	if err != nil {
-		// A budget/deadline trip during planning (vnorm sweeps, LP pivots,
-		// ILP nodes) is a bounded stop, not a compile error.
-		if budget.IsStop(err) {
-			fmt.Fprintln(stderr, "fluidvm:", err)
-			return exitCancelled
-		}
-		// A certification failure is a refused plan, not a broken build:
-		// its own exit code so scripts can tell "the checker said no"
-		// from a compile error.
-		if errors.Is(err, certify.ErrCertificate) {
-			fmt.Fprintln(stderr, "fluidvm:", err)
-			return exitCertFailed
-		}
-		return fail(stderr, err)
+		return notRun(stderr, err)
 	}
-
 	if *journalPath != "" {
-		jw, jf, jerr := journal.Create(fsys, *journalPath, *forceJournal)
-		if jerr != nil {
-			return fail(stderr, jerr)
+		out, err := recovery.Start(fsys, *journalPath, *forceJournal, x, prof, *seed, *margin, acfg, ropts)
+		if out == nil {
+			return notRun(stderr, err)
 		}
-		defer jf.Close()
-		if jerr := jw.Append(&journal.Record{Kind: journal.KindBegin, Begin: &journal.Begin{
-			Program: name,
-			Hash:    crc32.ChecksumIEEE([]byte(prog.String())),
-			Instrs:  len(prog.Instrs),
-			Profile: prof, Seed: *seed,
-			Margin: *margin, Yield: *yield,
-			Retries: *retries, SnapshotEvery: *snapEvery,
-			Replan:   *replan,
-			CertHash: certHash,
-		}}); jerr != nil {
-			return fail(stderr, jerr)
-		}
-		ropts.Journal = jw
+		return finish(out, stdout, stderr)
 	}
-
-	if doRecover {
-		return finish(recovery.Run(m, prog, comp, ropts), stdout, stderr)
+	m, err := x.Fresh(prof, *seed, acfg)
+	if err != nil {
+		return notRun(stderr, err)
 	}
-	res, err := m.Run(prog)
+	if *rec || *replan || *crashAt >= 0 {
+		return finish(recovery.Run(m, x.Prog, x.Compiled, ropts), stdout, stderr)
+	}
+	res, err := m.Run(x.Prog)
 	if err != nil {
 		if budget.IsStop(err) {
 			fmt.Fprintln(stderr, "fluidvm:", err)
@@ -257,6 +222,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	report(stdout, res)
 	return exitCompleted
+}
+
+// errUsage is build's complaint that no single assay was named.
+var errUsage = errors.New("usage")
+
+// notRun maps an error that kept the run from starting to its exit code.
+func notRun(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "fluidvm:", err)
+	switch {
+	// A budget/deadline trip during planning (vnorm sweeps, LP pivots,
+	// ILP nodes) is a bounded stop, not a compile error.
+	case budget.IsStop(err):
+		return exitCancelled
+	// A certification failure is a refused plan, not a broken build: its
+	// own exit code so scripts can tell "the checker said no" from a
+	// compile error.
+	case errors.Is(err, certify.ErrCertificate):
+		return exitCertFailed
+	}
+	return exitError
 }
 
 // buildFS constructs the journal's filesystem from the -fsfaults spec:
@@ -294,119 +279,35 @@ func buildFS(spec string, seed int64) (vfs.FS, error) {
 	return vfs.NewFaulty(vfs.OS{}, strikes, disk), nil
 }
 
-// doResume restores a crashed journaled run and continues it to
-// completion, appending to the recovered journal. Configuration comes
-// from the journal's begin record; only the program source (and -trace)
-// come from the command line. The snapshot ladder runs newest-first:
-// when the newest snapshot is unrestorable (poisoned contents behind a
-// valid CRC) the resume falls back to earlier ones, and ultimately to a
-// deterministic restart. Notices go to stderr so stdout stays
-// byte-identical to the uninterrupted run's.
-func doResume(fsys vfs.FS, path string, args []string, aisFile, volFile string, noCertify bool, meter *budget.Meter,
-	traceFn func(aquacore.TraceEntry), eventFn func(aquacore.Event), stdout, stderr io.Writer) int {
-	resumeFail := func(format string, a ...any) int {
-		fmt.Fprintf(stderr, "fluidvm: resume: "+format+"\n", a...)
-		return exitResumeFailed
-	}
-	recs, tail, w, f, err := journal.OpenAppend(fsys, path)
-	if err != nil {
-		return resumeFail("%v", err)
-	}
-	defer f.Close()
-	if tail.Truncated {
-		fmt.Fprintf(stderr, "fluidvm: resume: recovered journal tail: %s (kept %d good bytes)\n",
-			tail.Reason, tail.GoodBytes)
-	}
-	if recs[0].Kind != journal.KindBegin {
-		return resumeFail("journal does not start with a begin record")
-	}
-	begin := recs[0].Begin
-	if last := recs[len(recs)-1]; last.Kind == journal.KindOutcome {
-		return resumeFail("journal is already closed: run %s after %d boundaries",
-			last.Outcome.Status, last.Outcome.Boundaries)
-	}
-
-	// Rebuild the run exactly as the original invocation configured it.
-	// Each ladder rung needs a fresh machine (Restore refuses a used one),
-	// so construction is a closure; the assay is compiled once and every
-	// rung gets a fresh machine from that compile.
-	if aisFile == "" && len(args) != 1 {
+// resume continues a crashed journaled run through recovery.Resume,
+// appending to the recovered journal. Configuration comes from the
+// journal's begin record; only the program (rebuilt once by build at the
+// journaled margin) and -trace come from the command line. Notices go to
+// stderr so stdout stays byte-identical to the uninterrupted run's.
+func resume(fsys vfs.FS, path string, build func(float64) (*recovery.Executable, error), acfg aquacore.Config,
+	noCertify bool, stdout, stderr io.Writer) int {
+	var buildErr error
+	out, _, err := recovery.Resume(fsys, path, acfg, recovery.Options{NoCertify: noCertify},
+		func(b *journal.Begin) (*recovery.Executable, error) {
+			x, err := build(b.Margin)
+			buildErr = err
+			return x, err
+		},
+		func(s string) { fmt.Fprintf(stderr, "fluidvm: resume: %s\n", s) })
+	switch {
+	case out != nil:
+		return finish(out, stdout, stderr)
+	case errors.Is(buildErr, errUsage):
 		fmt.Fprintln(stderr, "usage: fluidvm -resume run.aqj assay.asy")
 		return exitUsage
+	case errors.Is(err, certify.ErrCertificate):
+		fmt.Fprintln(stderr, "fluidvm: resume:", err)
+		return exitCertFailed
+	case buildErr != nil:
+		return fail(stderr, buildErr)
 	}
-	acfg := func() aquacore.Config {
-		var inj *faults.Injector
-		if begin.Profile.Enabled() {
-			inj = faults.New(begin.Profile, begin.Seed)
-		}
-		return aquacore.Config{SeparationYield: begin.Yield, Trace: traceFn, EventTrace: eventFn, Faults: inj, Budget: meter}
-	}
-	var (
-		prog       *ais.Program
-		comp       *recovery.Compiled
-		certHash   uint32
-		newMachine func() (*aquacore.Machine, error)
-	)
-	if aisFile != "" {
-		newMachine = func() (*aquacore.Machine, error) {
-			p, m, err := buildShipped(aisFile, volFile, acfg())
-			prog = p
-			return m, err
-		}
-	} else {
-		res, err := compile(args[0], begin.Margin, noCertify, meter, stderr)
-		if err != nil {
-			if errors.Is(err, certify.ErrCertificate) {
-				fmt.Fprintln(stderr, "fluidvm: resume:", err)
-				return exitCertFailed
-			}
-			return fail(stderr, err)
-		}
-		prog, comp, certHash = res.Prog, res.Compiled(), res.CertHash
-		newMachine = func() (*aquacore.Machine, error) { return res.Machine(acfg()) }
-	}
-	firstMachine, err := newMachine()
-	if err != nil {
-		return fail(stderr, err)
-	}
-	if h := crc32.ChecksumIEEE([]byte(prog.String())); h != begin.Hash || len(prog.Instrs) != begin.Instrs {
-		return resumeFail("journal was recorded for a different program (journaled %08x/%d instrs, recompiled %08x/%d)",
-			begin.Hash, begin.Instrs, h, len(prog.Instrs))
-	}
-	// Re-verify the certificate: the re-derived (and freshly re-certified)
-	// plan must hash to exactly what the original run certified and
-	// journaled. A mismatch means the journal would replay volumes from a
-	// plan nobody certified — refuse before touching the machine, leaving
-	// no outcome record so the journal stays crash-evidence.
-	if !noCertify && begin.CertHash != 0 {
-		if err := certify.VerifyHash(certHash, begin.CertHash); err != nil {
-			fmt.Fprintln(stderr, "fluidvm: resume:", err)
-			return exitCertFailed
-		}
-	}
-
-	// The budget meter is per-invocation configuration, never journaled
-	// state: a resume is bounded only by the flags of THIS invocation.
-	ropts := recovery.Options{
-		RetriesPerInstr: begin.Retries,
-		SnapshotEvery:   begin.SnapshotEvery,
-		EnableReplan:    begin.Replan,
-		Journal:         w,
-		NoCertify:       noCertify,
-	}
-	snaps := recovery.Snapshots(recs)
-	if len(snaps) == 0 {
-		// Death before the first snapshot frame landed: nothing to
-		// restore, so the resume is a fresh deterministic run.
-		fmt.Fprintln(stderr, "fluidvm: resume: no snapshot in journal; restarting from the beginning")
-		return finish(recovery.Run(firstMachine, prog, comp, ropts), stdout, stderr)
-	}
-	out, _, err := recovery.ResumeFallback(newMachine, prog, comp, ropts, snaps,
-		func(s string) { fmt.Fprintf(stderr, "fluidvm: resume: %s\n", s) })
-	if err != nil {
-		return resumeFail("%v", err)
-	}
-	return finish(out, stdout, stderr)
+	fmt.Fprintln(stderr, "fluidvm: resume:", err)
+	return exitResumeFailed
 }
 
 // compile builds the assay at path through the shared pipeline with the
@@ -438,32 +339,35 @@ func compile(path string, margin float64, noCertify bool, meter *budget.Meter, s
 	return res, nil
 }
 
-// buildShipped assembles a compiled (listing, volume table) pair — the
-// artifact fluidc -o/-voltab produces — with no source or DAG available.
-// Recovery is retry-only here: regeneration needs the DAG and cluster map
-// that only a fresh compile carries.
-func buildShipped(aisFile, volFile string, acfg aquacore.Config) (*ais.Program, *aquacore.Machine, error) {
+// shipped assembles a compiled (listing, volume table) pair — the
+// artifact fluidc -o/-voltab produces — once, with no source or DAG
+// available; every run gets a fresh machine over it. Recovery is
+// retry-only here: regeneration needs the DAG and cluster map that only
+// a fresh compile carries.
+func shipped(aisFile, volFile string) (*recovery.Executable, error) {
 	src, err := os.ReadFile(aisFile)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	prog, err := ais.Assemble(string(src))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	m := aquacore.New(acfg, nil, nil)
+	var tab ais.VolumeTable
 	if volFile != "" {
 		vsrc, err := os.ReadFile(volFile)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		tab, err := ais.ParseVolumeTable(string(vsrc))
-		if err != nil {
-			return nil, nil, err
+		if tab, err = ais.ParseVolumeTable(string(vsrc)); err != nil {
+			return nil, err
 		}
-		m.SetVolumeTable(tab)
 	}
-	return prog, m, nil
+	return &recovery.Executable{Name: aisFile, Prog: prog, Machine: func(acfg aquacore.Config) (*aquacore.Machine, error) {
+		m := aquacore.New(acfg, nil, nil)
+		m.SetVolumeTable(tab)
+		return m, nil
+	}}, nil
 }
 
 // finish renders a recovered outcome and maps its status to an exit code.

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -89,6 +90,47 @@ func TestJournalCrashResume(t *testing.T) {
 	// A second resume finds the journal closed: nothing to do.
 	if code, _, errw := runCLI(t, "-resume", crashPath, glucose); code != exitResumeFailed {
 		t.Fatalf("resume of closed journal exit %d, want %d (stderr: %s)", code, exitResumeFailed, errw)
+	}
+}
+
+// A shipped (listing, volume table) pair — what fluidc -o/-voltab
+// writes — resumes like a compiled assay: killed mid-flight, its resume
+// prints stdout byte-identical to the uninterrupted shipped run's.
+func TestResumeShippedListing(t *testing.T) {
+	dir := t.TempDir()
+	res, err := compile(glucose, 0, false, nil, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listing, voltab := filepath.Join(dir, "g.ais"), filepath.Join(dir, "g.vol")
+	if err := os.WriteFile(listing, []byte(res.Prog.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(voltab, []byte(res.Volumes.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	shipped := []string{"-ais", listing, "-voltab", voltab}
+	faulty := append(shipped, "-faults", "moderate", "-seed", "42")
+
+	// Retries alone cannot repair every moderate fault of a listing with
+	// no DAG, so the reference may finish degraded.
+	refCode, refOut, errw := runCLI(t, append(faulty, "-journal", filepath.Join(dir, "ref.aqj"))...)
+	if refCode != exitCompleted && refCode != exitDegraded {
+		t.Fatalf("reference run exit %d (stderr: %s)", refCode, errw)
+	}
+	crashPath := filepath.Join(dir, "crash.aqj")
+	if code, _, errw := runCLI(t, append(faulty, "-journal", crashPath, "-crash-at", "10")...); code != exitAborted {
+		t.Fatalf("crash run exit %d, want %d (stderr: %s)", code, exitAborted, errw)
+	}
+	code, out, errw := runCLI(t, append(shipped, "-resume", crashPath)...)
+	if code != refCode {
+		t.Fatalf("resume exit %d, want %d (stderr: %s)", code, refCode, errw)
+	}
+	if out != refOut {
+		t.Errorf("resumed stdout differs from the uninterrupted shipped run\n got: %q\nwant: %q", out, refOut)
+	}
+	if !strings.Contains(errw, "resuming at boundary 8") {
+		t.Errorf("resume did not continue from the boundary-8 snapshot: %s", errw)
 	}
 }
 

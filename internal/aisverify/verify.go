@@ -106,9 +106,6 @@ type Options struct {
 	SeparationYield float64
 }
 
-// eps matches the machine's volume tolerance (volTol in aquacore).
-const eps = 1e-6
-
 type verifier struct {
 	prog  *ais.Program
 	opts  Options
@@ -477,7 +474,7 @@ func (v *verifier) transfer(pc int, st *state, emit emitFn) {
 		st.set(unit, itv{cur.lo * aquacore.ConcentrateYield, cur.hi * aquacore.ConcentrateYield})
 	case ais.SeparateCE, ais.SeparateSize, ais.SeparateAF, ais.SeparateLC:
 		if in.Op == ais.SeparateAF || in.Op == ais.SeparateLC {
-			if m := st.get(id[portMatrix]); m.hi <= eps {
+			if m := st.get(id[portMatrix]); m.hi <= aquacore.VolTol {
 				emit(pc, CodeNoMatrix,
 					"%s requires a loaded matrix but %s.matrix is empty", in.Op, in.Operands[0].Name)
 			}
@@ -490,7 +487,7 @@ func (v *verifier) transfer(pc int, st *state, emit emitFn) {
 		st.set(id[portMatrix], itv{})
 		st.set(id[portPusher], itv{})
 	case ais.SenseOD, ais.SenseFL:
-		if c := st.get(id[0]); c.hi <= eps {
+		if c := st.get(id[0]); c.hi <= aquacore.VolTol {
 			emit(pc, CodeEmptySense,
 				"%s reads a definitely-empty chamber %s", in.Op, v.names[id[0]])
 		}
@@ -556,14 +553,14 @@ func (v *verifier) move(pc int, in *ais.Instr, st *state, emit emitFn) {
 		if units < 0 {
 			emit(pc, CodeLeastCount, "negative move-abs volume %g", units)
 			units = 0
-		} else if units > eps && (units < 1-eps || math.Abs(units-math.Round(units)) > 1e-9) {
+		} else if units > aquacore.VolTol && (units < 1-aquacore.VolTol || math.Abs(units-math.Round(units)) > 1e-9) {
 			emit(pc, CodeLeastCount,
 				"move-abs of %g least-count units is not a positive integral multiple of the %.4g nl least count",
 				units, v.lc)
 		}
 		vol = exact(units * v.lc)
 	case hasTab:
-		if tab > eps && tab < v.lc-1e-9 {
+		if tab > aquacore.VolTol && tab < v.lc-aquacore.LeastCountSlack {
 			emit(pc, CodeLeastCount,
 				"planned volume %.4g nl is below the %.4g nl least count", tab, v.lc)
 		}
@@ -578,21 +575,21 @@ func (v *verifier) move(pc int, in *ais.Instr, st *state, emit emitFn) {
 	}
 
 	if !whole {
-		if vol.lo > src.hi+eps {
+		if vol.lo > src.hi+aquacore.VolTol {
 			emit(pc, CodeRanOut,
 				"move needs %.4g nl but %s holds at most %.4g nl", vol.lo, srcName, src.hi)
-		} else if known && vol.hi > src.lo+eps {
+		} else if known && vol.hi > src.lo+aquacore.VolTol {
 			emit(pc, CodeMaybeRanOut,
 				"move of %.4g nl may exceed %s's contents (as little as %.4g nl)", vol.hi, srcName, src.lo)
 		}
-	} else if src.lo > eps && src.hi < v.lc-1e-9 {
+	} else if src.lo > aquacore.VolTol && src.hi < v.lc-aquacore.LeastCountSlack {
 		emit(pc, CodeLeastCount,
 			"whole-vessel move of %s dispenses at most %.4g nl, below the %.4g nl least count",
 			srcName, src.hi, v.lc)
 	}
 
 	if o := in.Operands[0]; o.Kind == ais.Unit && (o.Sub == "out1" || o.Sub == "out2") {
-		if dst := st.get(dstID); dst.lo > eps {
+		if dst := st.get(dstID); dst.lo > aquacore.VolTol {
 			emit(pc, CodeOccupiedPort,
 				"write to output port %s which still holds at least %.4g nl", dstName, dst.lo)
 		}
@@ -601,10 +598,10 @@ func (v *verifier) move(pc int, in *ais.Instr, st *state, emit emitFn) {
 	moved := itv{math.Min(vol.lo, src.lo), math.Min(vol.hi, src.hi)}
 	dst := st.get(dstID)
 	after := itv{dst.lo + moved.lo, dst.hi + moved.hi}
-	if after.lo > v.cap+eps {
+	if after.lo > v.cap+aquacore.VolTol {
 		emit(pc, CodeOverflow,
 			"%s reaches at least %.4g nl, exceeding capacity %.4g nl", dstName, after.lo, v.cap)
-	} else if (known || (whole && !v.opts.UnknownVolumes)) && after.hi > v.cap+eps {
+	} else if (known || (whole && !v.opts.UnknownVolumes)) && after.hi > v.cap+aquacore.VolTol {
 		emit(pc, CodeMaybeOverflow,
 			"%s may reach %.4g nl, exceeding capacity %.4g nl", dstName, after.hi, v.cap)
 	}

@@ -42,6 +42,15 @@ const (
 const (
 	DefaultSeparationYield = 0.4
 	ConcentrateYield       = 0.5
+
+	// VolTol and LeastCountSlack are the machine's volume tolerances,
+	// shared with every model of it (aisverify, the recovery runtime).
+	// VolTol absorbs serialization rounding in volume comparisons (volume
+	// tables round to 9 significant digits); it is 10⁵× below the least
+	// count. LeastCountSlack is how far below the least count a nonzero
+	// transfer may fall before it underflows.
+	VolTol          = 1e-6
+	LeastCountSlack = 1e-9
 )
 
 // Config parameterizes the machine.
@@ -687,7 +696,7 @@ func immOperand(in ais.Instr, i int) float64 {
 // underflow raises EventUnderflow for a nonzero transfer below the
 // least count; what names the transfer in the event.
 func (m *Machine) underflow(pc int, in ais.Instr, what string, vol float64) {
-	if vol < m.cfg.Volume.LeastCount-1e-9 && vol > 0 {
+	if vol < m.cfg.Volume.LeastCount-LeastCountSlack && vol > 0 {
 		m.event(EventUnderflow, pc, in, "%s of %.4g nl below least count %.4g nl", what, vol, m.cfg.Volume.LeastCount)
 	}
 }
@@ -728,10 +737,7 @@ func (m *Machine) transfer(pc int, in ais.Instr, src *vessel, dst, verb string, 
 // clampDraw returns the volume a draw of vol from src actually takes:
 // all of it, or — raising EventRanOut — what src holds.
 func (m *Machine) clampDraw(pc int, in ais.Instr, src *vessel, vol float64) float64 {
-	// volTol absorbs serialization rounding (volume tables round to 9
-	// significant digits); it is 10⁵× below the least count.
-	const volTol = 1e-6
-	if vol > src.vol+volTol {
+	if vol > src.vol+VolTol {
 		m.event(EventRanOut, pc, in, "need %.4g nl but %s holds %.4g nl", vol, src.name, src.vol)
 		return src.vol
 	}
@@ -881,7 +887,7 @@ func (m *Machine) step(pc int, in ais.Instr, prog *ais.Program, pcOut *int) (jum
 		}
 		dstV := m.vessel(dstName)
 		dstV.add(delivered, m.drawn)
-		if dstV.vol > cfg.Volume.MaxCapacity+1e-6 {
+		if dstV.vol > cfg.Volume.MaxCapacity+VolTol {
 			m.event(EventOverflow, pc, in, "%s at %.4g nl exceeds capacity %.4g nl", dstName, dstV.vol, cfg.Volume.MaxCapacity)
 		}
 	case ais.Output:

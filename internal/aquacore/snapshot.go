@@ -156,7 +156,7 @@ func (s *Snapshot) validate() error {
 	// every map walks in sorted order.
 	for _, name := range sortedKeys(s.Vessels) {
 		vs := s.Vessels[name]
-		if bad(vs.Volume) || vs.Volume < -1e-6 {
+		if bad(vs.Volume) || vs.Volume < -VolTol {
 			return fmt.Errorf("aquacore: snapshot vessel %q has impossible volume %v", name, vs.Volume)
 		}
 		for _, fluid := range sortedKeys(vs.Composition) {

@@ -19,9 +19,12 @@ import (
 // at the first replan, E14's fault at every journal I/O site, E15's
 // cancel at a sweep of instruction boundaries — are loops over one
 // driver: reference runs an assay journaled and uninterrupted, and
-// strike reruns it with one interruption, salvages the journal the way
-// `fluidvm -resume` does, resumes, and returns a verdict. Each matrix
-// keeps its checks as predicates on the verdict.
+// strike reruns it with one interruption, resumes from the journal it
+// left, and returns a verdict. Both go through fluidvm's own journaled
+// run (recovery.Start and recovery.Resume), so every journal opens with
+// a begin record and every resume passes the listing-hash and
+// certificate-hash checks. Each matrix keeps its checks as predicates
+// on the verdict.
 
 // chaosRun describes the journaled run a matrix strikes.
 type chaosRun struct {
@@ -29,6 +32,30 @@ type chaosRun struct {
 	p    faults.Profile
 	seed int64
 	opts recovery.Options
+}
+
+// machines records the machines a run builds: how many, and the last.
+type machines struct {
+	built int
+	last  *aquacore.Machine
+}
+
+// executable is what r runs, its machine constructor recording into ms.
+func (r chaosRun) executable(ms *machines) *recovery.Executable {
+	x := r.ca.Executable(r.ca.name)
+	machine := x.Machine
+	x.Machine = func(acfg aquacore.Config) (*aquacore.Machine, error) {
+		m, err := machine(acfg)
+		ms.built, ms.last = ms.built+1, m
+		return m, err
+	}
+	return x
+}
+
+// start runs r with opts journaled at path on fsys, its machine bounded
+// by meter (nil for none).
+func (r chaosRun) start(fsys vfs.FS, path string, opts recovery.Options, meter *budget.Meter, ms *machines) (*recovery.Outcome, error) {
+	return recovery.Start(fsys, path, false, r.executable(ms), r.p, r.seed, r.ca.margin, aquacore.Config{Budget: meter}, opts)
 }
 
 // chaosRef is what the uninterrupted reference run leaves behind.
@@ -50,25 +77,19 @@ type chaosRef struct {
 // filesystem and an unlimited counting meter.
 func (r chaosRun) reference(path string) (*chaosRef, error) {
 	fsys := vfs.NewFaulty(vfs.OS{}, nil, nil)
-	jw, f, err := journal.Create(fsys, path, true)
-	if err != nil {
-		return nil, err
-	}
-	opts := r.opts
-	opts.Journal = jw
 	meter := budget.New(0)
-	out, m, err := r.ca.runRecovered(r.p, r.seed, opts, meter)
-	if cerr := f.Close(); cerr != nil && err == nil {
-		err = fmt.Errorf("closing reference journal: %w", cerr)
-	}
-	if err != nil {
+	var ms machines
+	out, err := r.start(fsys, path, r.opts, meter, &ms)
+	switch {
+	case out == nil:
 		return nil, err
-	}
-	if out.Status == recovery.Aborted {
+	case err != nil:
+		return nil, fmt.Errorf("closing reference journal: %w", err)
+	case out.Status == recovery.Aborted:
 		return nil, fmt.Errorf("reference run aborted: %w", out.Err)
 	}
 	ref := &chaosRef{sites: fsys.Counts(), work: meter.Used()}
-	if ref.fp, err = machineFP(m); err != nil {
+	if ref.fp, err = machineFP(ms.last); err != nil {
 		return nil, err
 	}
 	recs, _, err := journal.Recover(vfs.OS{}, path)
@@ -82,7 +103,7 @@ func (r chaosRun) reference(path string) (*chaosRef, error) {
 		case journal.KindSnapshot:
 			ref.snapshots++
 		default:
-			// Transfer/recovery/replan/outcome records count neither.
+			// Begin/transfer/recovery/replan/outcome records count neither.
 		}
 	}
 	st, err := os.Stat(path)
@@ -106,12 +127,14 @@ type blow struct {
 
 // verdict is how a struck run ended.
 type verdict struct {
-	// refused: journal creation failed, so the run never started.
+	// refused: the journal's creation or its begin record failed, so the
+	// run never started.
 	refused bool
 	// cause is the struck run's abort error; nil when it finished, in
 	// which case nothing was salvaged.
 	cause error
-	// outcome: the salvaged journal holds an outcome record.
+	// outcome: the resume refused the salvaged journal because it ends
+	// with an outcome record.
 	outcome bool
 	// skipped counts the newer snapshots the resume ladder could not use.
 	skipped int
@@ -123,11 +146,9 @@ type verdict struct {
 	identical bool
 }
 
-// strike reruns r at path with one blow, salvages what it left with
-// journal.OpenAppend and resumes with recovery.ResumeFallback appending
-// to the salvaged journal — the two calls `fluidvm -resume` makes. A
-// journal in which no record survived restarts on a fresh one. want is
-// the reference fingerprint.
+// strike reruns r at path with one blow and resumes from the journal it
+// left with recovery.Resume, as `fluidvm -resume` does. want is the
+// reference fingerprint.
 func (r chaosRun) strike(path string, b blow, want string) (*verdict, error) {
 	if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, err
@@ -136,32 +157,36 @@ func (r chaosRun) strike(path string, b blow, want string) (*verdict, error) {
 	if b.io != nil {
 		strikes = append(strikes, *b.io)
 	}
-	jw, f, err := journal.Create(vfs.NewFaulty(vfs.OS{}, strikes, nil), path, false)
-	if err != nil {
-		// Creation is atomic: path holds nothing or a complete empty
-		// journal (the strike hit after the rename), never a half-written
-		// header.
-		if st, serr := os.Stat(path); serr == nil && st.Size() != 0 && st.Size() != journal.HeaderSize {
-			return nil, fmt.Errorf("failed creation left %d bytes at %s", st.Size(), path)
-		}
-		return &verdict{refused: true}, nil
-	}
 	opts := r.opts
-	opts.Journal, opts.Crash = jw, b.kill
+	opts.Crash = b.kill
 	var meter *budget.Meter
 	if b.cancel > 0 {
 		meter = budget.New(0).CancelAfter(b.cancel)
 	}
-	out, m, err := r.ca.runRecovered(r.p, r.seed, opts, meter)
-	// The close may be the struck site, and an interrupted journal ends
-	// where the blow left it; closing changes nothing either way.
-	f.Close() //fluidvet:allow syncerr the struck journal is crash evidence; every append was already fsynced
-	if err != nil {
-		return nil, err
+	var ms machines
+	// A failed close after the run is no verdict: the close may be the
+	// struck site, and an interrupted journal ends where the blow left it.
+	out, _ := r.start(vfs.NewFaulty(vfs.OS{}, strikes, nil), path, opts, meter, &ms)
+	if out == nil {
+		// The reference built the same machine, so the blow struck the
+		// journal's creation or its begin record, and the run stopped
+		// before its first instruction. Creation is atomic, and nothing
+		// is appended after a failed begin record: path holds nothing,
+		// or an intact header with at most a torn or complete begin
+		// record.
+		recs, tail, err := journal.Recover(vfs.OS{}, path)
+		switch {
+		case errors.Is(err, os.ErrNotExist):
+		case err != nil:
+			return nil, fmt.Errorf("reading the refused run's journal: %w", err)
+		case tail.GoodBytes < journal.HeaderSize || len(recs) > 1:
+			return nil, fmt.Errorf("refused run left %d good bytes and %d records at %s", tail.GoodBytes, len(recs), path)
+		}
+		return &verdict{refused: true}, nil
 	}
 	v := &verdict{}
 	if out.Status != recovery.Aborted {
-		got, err := machineFP(m)
+		got, err := machineFP(ms.last)
 		v.identical = got == want
 		return v, err
 	}
@@ -179,42 +204,20 @@ func (r chaosRun) strike(path string, b blow, want string) (*verdict, error) {
 			return nil, fmt.Errorf("damaging the journal: %w", err)
 		}
 	}
-	recs, _, jw, f, err := journal.OpenAppend(vfs.OS{}, path)
-	if errors.Is(err, journal.ErrTornWrite) || errors.Is(err, journal.ErrCorrupt) {
-		// No record survived: restart on a fresh journal.
-		jw, f, err = journal.Create(vfs.OS{}, path, true)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("salvaging the journal: %w", err)
-	}
-	for _, rec := range recs {
-		v.outcome = v.outcome || rec.Kind == journal.KindOutcome
-	}
-	snaps := recovery.Snapshots(recs)
-	opts = r.opts
-	opts.Journal = jw
-	var resumed *aquacore.Machine
-	out, used, err := recovery.ResumeFallback(
-		func() (*aquacore.Machine, error) {
-			m, err := r.ca.Machine(runConfig(r.p, r.seed, nil))
-			resumed = m
-			return m, err
-		},
-		r.ca.Prog, r.ca.Compiled(), opts, snaps, nil)
-	if cerr := f.Close(); cerr != nil && err == nil {
-		err = fmt.Errorf("closing the resumed journal: %w", cerr)
+	ms = machines{}
+	rebuild := func(*journal.Begin) (*recovery.Executable, error) { return r.executable(&ms), nil }
+	out, used, err := recovery.Resume(vfs.OS{}, path, aquacore.Config{}, r.opts, rebuild, nil)
+	if errors.Is(err, recovery.ErrClosed) {
+		v.outcome = true
+		return v, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("resume: %w", err)
 	}
-	v.restarted = used == nil
-	v.skipped = len(snaps)
-	for i, s := range snaps {
-		if s == used {
-			v.skipped = len(snaps) - 1 - i
-		}
-	}
-	got, err := machineFP(resumed)
+	// The ladder builds one machine per rung it tries, and one more when
+	// it restarts.
+	v.restarted, v.skipped = used == nil, ms.built-1
+	got, err := machineFP(ms.last)
 	v.identical = out.Status != recovery.Aborted && got == want
 	return v, err
 }

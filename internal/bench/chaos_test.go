@@ -40,9 +40,32 @@ func TestStrikeVerdicts(t *testing.T) {
 			faults.ErrCrash, verdict{identical: true}},
 		{"cancel after 1 work unit", run, blow{cancel: 1},
 			budget.ErrCancelled, verdict{identical: true}},
-		// The first record's frame never lands: nothing to salvage.
+		// Every write and sync of the begin record refuses the run before
+		// its first instruction (strike fails the test if anything past
+		// that record was journaled). Writes 1 and 2 are its frame and
+		// payload, sync 1 its fsync; write 0 and sync 0 are the header's.
 		{"write@1", run, blow{io: &vfs.Strike{Op: vfs.OpWrite, N: 1}},
+			nil, verdict{refused: true}},
+		{"write@1:short", run, blow{io: &vfs.Strike{Op: vfs.OpWrite, N: 1, Short: true}},
+			nil, verdict{refused: true}},
+		{"write@2", run, blow{io: &vfs.Strike{Op: vfs.OpWrite, N: 2}},
+			nil, verdict{refused: true}},
+		{"write@2:short", run, blow{io: &vfs.Strike{Op: vfs.OpWrite, N: 2, Short: true}},
+			nil, verdict{refused: true}},
+		{"sync@1", run, blow{io: &vfs.Strike{Op: vfs.OpSync, N: 1}},
+			nil, verdict{refused: true}},
+		{"sync@1:lying", run, blow{io: &vfs.Strike{Op: vfs.OpSync, N: 1, Lying: true}},
+			nil, verdict{refused: true}},
+		// The first snapshot's frame never lands: the salvage finds only
+		// the begin record, and the resume restarts.
+		{"write@3", run, blow{io: &vfs.Strike{Op: vfs.OpWrite, N: 3}},
 			vfs.ErrIO, verdict{restarted: true, identical: true}},
+		// Creation is atomic: a torn or dropped header never reaches the
+		// journal's path (strike fails the test if one does).
+		{"write@0:short", run, blow{io: &vfs.Strike{Op: vfs.OpWrite, N: 0, Short: true}},
+			nil, verdict{refused: true}},
+		{"sync@0:lying", run, blow{io: &vfs.Strike{Op: vfs.OpSync, N: 0, Lying: true}},
+			nil, verdict{refused: true}},
 		{"create@0", run, blow{io: &vfs.Strike{Op: vfs.OpCreate}},
 			nil, verdict{refused: true}},
 		{"poisoned newest snapshot", everyTwo, blow{kill: faults.CrashAt(9), damage: poisonNewestSnapshot},

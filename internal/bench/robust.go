@@ -16,7 +16,8 @@ import (
 // compiledAssay is a paper assay compiled once through the shared
 // pipeline, as fluidvm compiles it; every run gets a fresh machine.
 type compiledAssay struct {
-	name string
+	name   string
+	margin float64
 	*pipeline.Result
 }
 
@@ -36,28 +37,19 @@ func compileForRun(name, src string, margin float64) (*compiledAssay, error) {
 	if res.Findings.HasErrors() {
 		return nil, res.Findings
 	}
-	return &compiledAssay{name: name, Result: res}, nil
-}
-
-// runConfig is the machine configuration of one run under profile p and
-// seed; meter, when non-nil, bounds it.
-func runConfig(p faults.Profile, seed int64, meter *budget.Meter) aquacore.Config {
-	acfg := aquacore.Config{Budget: meter}
-	if p.Enabled() {
-		acfg.Faults = faults.New(p, seed)
-	}
-	return acfg
+	return &compiledAssay{name: name, margin: margin, Result: res}, nil
 }
 
 // runRecovered executes one seeded run under the recovery runtime, its
 // machine bounded by meter (nil for none), returning the machine too so
 // callers can fingerprint its final state.
 func (ca *compiledAssay) runRecovered(p faults.Profile, seed int64, opts recovery.Options, meter *budget.Meter) (*recovery.Outcome, *aquacore.Machine, error) {
-	m, err := ca.Machine(runConfig(p, seed, meter))
+	x := ca.Executable(ca.name)
+	m, err := x.Fresh(p, seed, aquacore.Config{Budget: meter})
 	if err != nil {
 		return nil, nil, err
 	}
-	return recovery.Run(m, ca.Prog, ca.Compiled(), opts), m, nil
+	return recovery.Run(m, x.Prog, x.Compiled, opts), m, nil
 }
 
 // robustnessAssays compiles the three paper assays for fault sweeps.

@@ -109,19 +109,13 @@ func (jr *Reader) next() (*Record, error) {
 // ReadAll decodes every record up to the first bad frame. The returned
 // error is nil for a clean journal, or the terminal ErrTornWrite /
 // ErrCorrupt-wrapped condition; the good prefix is returned either way.
+// It is Recover's salvage with the truncated tail as the error.
 func ReadAll(r io.Reader) ([]*Record, error) {
-	jr := NewReader(r)
-	var recs []*Record
-	for {
-		rec, err := jr.Next()
-		if err == io.EOF {
-			return recs, nil
-		}
-		if err != nil {
-			return recs, err
-		}
-		recs = append(recs, rec)
+	recs, tail, err := recoverFrom(r)
+	if err == nil {
+		err = tail.Reason
 	}
+	return recs, err
 }
 
 // Tail describes how a journal read-back ended.

@@ -242,3 +242,9 @@ func (r *Result) Machine(acfg aquacore.Config) (*aquacore.Machine, error) {
 func (r *Result) Compiled() *recovery.Compiled {
 	return &recovery.Compiled{Graph: r.Graph, Clusters: r.gen.Clusters, VesselOf: r.gen.VesselOf}
 }
+
+// Executable is what a journaled run of the compiled assay executes,
+// under the program name name.
+func (r *Result) Executable(name string) *recovery.Executable {
+	return &recovery.Executable{Name: name, Prog: r.Prog, Compiled: r.Compiled(), CertHash: r.CertHash, Machine: r.Machine}
+}

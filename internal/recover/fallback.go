@@ -32,8 +32,8 @@ func Snapshots(recs []*journal.Record) []*journal.Snapshot {
 // boundaries and lands on the bit-identical result, the same as a run
 // that was never interrupted. The bottom rung is a fresh run from the
 // beginning, so the ladder fails only when no machine can be built at
-// all. opts.Journal, when set, should append to the recovered journal
-// (journal.OpenAppend).
+// all. opts.Journal, when set, should append to the recovered journal,
+// as Resume's does.
 //
 // newMachine must construct a fresh machine per attempt (Restore demands
 // one that has executed nothing). note, when non-nil, receives one
@@ -42,11 +42,6 @@ func Snapshots(recs []*journal.Record) []*journal.Snapshot {
 // rung that worked — nil when the run restarted from the beginning.
 func ResumeFallback(newMachine func() (*aquacore.Machine, error), prog *ais.Program, c *Compiled,
 	opts Options, snaps []*journal.Snapshot, note func(string)) (*Outcome, *journal.Snapshot, error) {
-	say := func(format string, a ...any) {
-		if note != nil {
-			note(fmt.Sprintf(format, a...))
-		}
-	}
 	for i := len(snaps) - 1; i >= 0; i-- {
 		snap := snaps[i]
 		m, err := newMachine()
@@ -55,10 +50,10 @@ func ResumeFallback(newMachine func() (*aquacore.Machine, error), prog *ais.Prog
 		}
 		out, err := prepareResume(m, prog, snap)
 		if err != nil {
-			say("snapshot at boundary %d (pc %d) unusable: %v", snap.Boundary, snap.PC, err)
+			say(note, "snapshot at boundary %d (pc %d) unusable: %v", snap.Boundary, snap.PC, err)
 			continue
 		}
-		say("resuming at boundary %d (pc %d)", snap.Boundary, snap.PC)
+		say(note, "resuming at boundary %d (pc %d)", snap.Boundary, snap.PC)
 		return run(m, prog, c, opts.withDefaults(), snap.PC, snap.Boundary, out), snap, nil
 	}
 	m, err := newMachine()
@@ -66,7 +61,14 @@ func ResumeFallback(newMachine func() (*aquacore.Machine, error), prog *ais.Prog
 		return nil, nil, fmt.Errorf("recovery: building machine for restart: %w", err)
 	}
 	if len(snaps) > 0 {
-		say("no usable snapshot among %d; restarting from the beginning", len(snaps))
+		say(note, "no usable snapshot among %d; restarting from the beginning", len(snaps))
 	}
 	return Run(m, prog, c, opts), nil, nil
+}
+
+// say formats one resume notice for note, which may be nil.
+func say(note func(string), format string, a ...any) {
+	if note != nil {
+		note(fmt.Sprintf(format, a...))
+	}
 }

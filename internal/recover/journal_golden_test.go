@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"strings"
 	"testing"
 
@@ -32,11 +31,11 @@ const (
 // TestJournalGolden pins the bytes of every journal fluidvm -replan
 // writes for the shipped paper assays under each fault preset and fault
 // seeds 1–12: once uninterrupted, and once killed at its middle
-// instruction boundary and resumed from the salvaged journal (the
-// fluidvm -resume path: journal.OpenAppend, then
-// recovery.ResumeFallback). A line records a journal's length and
-// SHA-256, so any change to the record encoding, to which records are
-// written, or to the state they carry fails here.
+// instruction boundary and resumed from the salvaged journal. Both go
+// through recovery.Start and recovery.Resume, the code fluidvm runs. A
+// line records a journal's length and SHA-256, so any change to the
+// record encoding, to which records are written, or to the state they
+// carry fails here.
 func TestJournalGolden(t *testing.T) {
 	if raceEnabled {
 		t.Skip("384 journaled runs under the race detector; ci.sh runs this test without it")
@@ -78,77 +77,37 @@ func TestJournalGolden(t *testing.T) {
 	golden.Check(t, "testdata/golden/journals.golden", b.String())
 }
 
-// journaledRun runs the compiled assay as fluidvm -replan -journal does
-// and returns the journal's bytes and the final machine-state digest.
-// With crashAt >= 0 the run is killed after that boundary and resumed
-// from its journal as fluidvm -resume does.
+// journaledRun runs the compiled assay as fluidvm -replan -journal does,
+// through recovery.Start, and returns the journal's bytes and the final
+// machine-state digest. With crashAt >= 0 the run is killed after that
+// boundary and resumed from its journal through recovery.Resume, as
+// fluidvm -resume does.
 func journaledRun(t *testing.T, program, run string, res *pipeline.Result, p faults.Profile, seed int64, crashAt int) ([]byte, string) {
 	t.Helper()
-	machine := func(p faults.Profile, seed int64, yield float64) (*aquacore.Machine, error) {
-		acfg := aquacore.Config{SeparationYield: yield}
-		if p.Enabled() {
-			acfg.Faults = faults.New(p, seed)
-		}
-		return res.Machine(acfg)
-	}
-	m, err := machine(p, seed, vmYield)
-	if err != nil {
-		t.Fatalf("%s: %v", run, err)
+	x := res.Executable(program)
+	var m *aquacore.Machine
+	machine := x.Machine
+	x.Machine = func(acfg aquacore.Config) (*aquacore.Machine, error) {
+		var err error
+		m, err = machine(acfg)
+		return m, err
 	}
 	fsys := newMemFS()
-	jw, jf, err := journal.Create(fsys, vmJournal, false)
-	if err != nil {
-		t.Fatalf("%s: %v", run, err)
-	}
-	if err := jw.Append(&journal.Record{Kind: journal.KindBegin, Begin: &journal.Begin{
-		Program: program,
-		Hash:    crc32.ChecksumIEEE([]byte(res.Prog.String())),
-		Instrs:  len(res.Prog.Instrs),
-		Profile: p, Seed: seed,
-		Yield:   vmYield,
-		Retries: vmRetries, SnapshotEvery: vmSnapshotEvery,
-		Replan:   true,
-		CertHash: res.CertHash,
-	}}); err != nil {
-		t.Fatalf("%s: %v", run, err)
-	}
-	opts := recovery.Options{RetriesPerInstr: vmRetries, SnapshotEvery: vmSnapshotEvery, EnableReplan: true, Journal: jw}
+	opts := recovery.Options{RetriesPerInstr: vmRetries, SnapshotEvery: vmSnapshotEvery, EnableReplan: true}
 	if crashAt >= 0 {
 		opts.Crash = faults.CrashAt(crashAt)
 	}
-	out := recovery.Run(m, res.Prog, res.Compiled(), opts)
-	if err := jf.Close(); err != nil {
-		t.Fatal(err)
+	out, err := recovery.Start(fsys, vmJournal, false, x, p, seed, 0, aquacore.Config{SeparationYield: vmYield}, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", run, err)
 	}
 	if crashAt >= 0 {
 		if !errors.Is(out.Err, faults.ErrCrash) {
 			t.Fatalf("%s: kill at boundary %d did not strike: run ended %s", run, crashAt, out.Status)
 		}
-		recs, _, w, f, err := journal.OpenAppend(fsys, vmJournal)
-		if err != nil {
+		rebuild := func(*journal.Begin) (*recovery.Executable, error) { return x, nil }
+		if _, _, err := recovery.Resume(fsys, vmJournal, aquacore.Config{}, recovery.Options{}, rebuild, nil); err != nil {
 			t.Fatalf("%s: resume: %v", run, err)
-		}
-		begin := recs[0].Begin
-		newMachine := func() (*aquacore.Machine, error) {
-			m, err = machine(begin.Profile, begin.Seed, begin.Yield)
-			return m, err
-		}
-		ropts := recovery.Options{
-			RetriesPerInstr: begin.Retries,
-			SnapshotEvery:   begin.SnapshotEvery,
-			EnableReplan:    begin.Replan,
-			Journal:         w,
-		}
-		if snaps := recovery.Snapshots(recs); len(snaps) == 0 {
-			if _, err := newMachine(); err != nil {
-				t.Fatalf("%s: resume: %v", run, err)
-			}
-			recovery.Run(m, res.Prog, res.Compiled(), ropts)
-		} else if _, _, err := recovery.ResumeFallback(newMachine, res.Prog, res.Compiled(), ropts, snaps, nil); err != nil {
-			t.Fatalf("%s: resume: %v", run, err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
 		}
 	}
 	return fsys.files[vmJournal].b, stateDigest(t, m)

@@ -45,9 +45,6 @@ import (
 	"aquavol/internal/regen"
 )
 
-// volTol mirrors aquacore's volume comparison tolerance (nl).
-const volTol = 1e-6
-
 // ErrAborted is the sentinel every aborting Outcome.Err wraps: callers
 // match it with errors.Is instead of switching on Status strings, and
 // unwrap further for the concrete cause (a machine error, a journal
@@ -393,7 +390,7 @@ func run(m *aquacore.Machine, prog *ais.Program, c *Compiled,
 				// the live volume by construction, and a failed one will
 				// fail the same way again.
 				rounds, triedRescale := 0, false
-				for need > m.VesselVolume(src)+volTol {
+				for need > m.VesselVolume(src)+aquacore.VolTol {
 					if canReplan && !triedRescale && out.Replans < maxReplans && replanViable(prog, c.Clusters, pc) {
 						triedRescale = true
 						ok, err := applyReplan(m, prog, c, pc, boundary, src, need, m.VesselVolume(src), jitterPad, opt.NoCertify, jw, out)

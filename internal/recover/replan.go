@@ -93,34 +93,21 @@ func applyReplan(m *aquacore.Machine, prog *ais.Program, c *Compiled, pc, bounda
 	// the remainder is exactly [pc, end).
 	edgeVol := rp.EdgeVolumes()
 	inputVol := rp.InputVolumes()
+	realizes := func(p int) (edge, node int) { return realized(prog.Instrs[p]) }
 	patches := map[int]float64{}
 	for p := pc; p < len(prog.Instrs); p++ {
-		in := prog.Instrs[p]
-		if in.Edge >= 0 {
-			if v, ok := edgeVol[in.Edge]; ok {
-				patches[p] = v
-			}
-		} else if in.Op == ais.Input && in.Node >= 0 {
-			if v, ok := inputVol[in.Node]; ok {
-				patches[p] = v
-			}
+		edge, node := realizes(p)
+		if v, ok := edgeVol[edge]; ok && edge >= 0 {
+			patches[p] = v
+		} else if v, ok := inputVol[node]; ok && node >= 0 {
+			patches[p] = v
 		}
 	}
 	if !noCertify {
 		// The patch map is the last hand-off before live volumes change:
 		// verify every patched pc resolves to a residual edge or input and
 		// carries exactly the certified plan's volume for it.
-		resolve := func(p int) (edge, node int) {
-			in := prog.Instrs[p]
-			if in.Edge >= 0 {
-				return in.Edge, -1
-			}
-			if in.Op == ais.Input && in.Node >= 0 {
-				return -1, in.Node
-			}
-			return -1, -1
-		}
-		if err := certify.CheckPatches(rp, patches, resolve); err != nil {
+		if err := certify.CheckPatches(rp, patches, realizes); err != nil {
 			return infeasible(fmt.Errorf("replan patches failed certification: %w", err))
 		}
 	}
@@ -148,6 +135,20 @@ func applyReplan(m *aquacore.Machine, prog *ais.Program, c *Compiled, pc, bounda
 		}
 	}
 	return true, nil
+}
+
+// realized reports what instruction in realizes: (edge, -1) for a
+// transfer along a DAG edge, (-1, node) for an input node's load, and
+// (-1, -1) for anything else. It is the one rule a replan's patch set is
+// built and certified by.
+func realized(in ais.Instr) (edge, node int) {
+	switch {
+	case in.Edge >= 0:
+		return in.Edge, -1
+	case in.Op == ais.Input && in.Node >= 0:
+		return -1, in.Node
+	}
+	return -1, -1
 }
 
 // sortedClusterStarts returns the cluster keys in increasing order, so
