@@ -67,24 +67,27 @@ echo "== journal bytes and encoder oracle =="
 # The journal golden pins the bytes of 384 fluidvm -replan journals
 # (uninterrupted and killed-then-resumed) and skips under -race above;
 # the encoder oracle tests hold the hand-written journal encoder to
-# json.Marshal's bytes and errors.
+# json.Marshal's bytes and errors, and its decoder to json.Unmarshal's
+# records; the golden walk, one seed per assay and preset under -race,
+# requires the decoder to take every record of all 384 journals.
 go test -count=1 -run 'TestJournalGolden' ./internal/recover
-go test -count=1 -run 'TestEncoderMatchesMarshal|TestEncoderSnapshotSequence' ./internal/journal
+go test -count=1 -run 'TestEncoderMatchesMarshal|TestEncoderSnapshotSequence|TestDecoderTakesJournalGolden' ./internal/journal
 
 echo "== benchmark smoke =="
 # One iteration each, so the benchmarks keep compiling and running:
-# snapshot appends of a harsh-fault Enzyme n=3 journal, whole
-# harsh-fault Enzyme n=3 runs on the machine, and certification of the
-# glucose and Enzyme n=4 plans and of a harsh-fault Enzyme n=3 replan
-# and its patches.
-go test -run '^$' -bench 'BenchmarkAppendSnapshot' -benchtime=1x ./internal/journal
+# snapshot appends and the salvage of a killed harsh-fault Enzyme n=3
+# journal, whole harsh-fault Enzyme n=3 runs on the machine, and
+# certification of the glucose and Enzyme n=4 plans and of a
+# harsh-fault Enzyme n=3 replan and its patches.
+go test -run '^$' -bench 'BenchmarkAppendSnapshot|BenchmarkOpenAppend' -benchtime=1x ./internal/journal
 go test -run '^$' -bench 'BenchmarkExecFaulty' -benchtime=1x ./internal/aquacore
 go test -run '^$' -bench 'BenchmarkCheck' -benchtime=1x ./internal/certify
 
 echo "== fuzz smoke (10s each) =="
 go test -fuzz=FuzzAssemble -fuzztime=10s ./internal/ais
 go test -fuzz=FuzzLint -fuzztime=10s ./internal/analysis
-go test -fuzz=FuzzDecode -fuzztime=10s ./internal/journal
+go test -fuzz='^FuzzDecode$' -fuzztime=10s ./internal/journal
+go test -run '^$' -fuzz='^FuzzDecodePayload$' -fuzztime=10s ./internal/journal
 # certify's tests (the tier-agreement oracle) already ran in the race
 # step; only its fuzz target runs here.
 go test -run '^$' -fuzz=FuzzCertifyTiers -fuzztime=10s ./internal/certify

@@ -304,7 +304,7 @@ func resume(fsys vfs.FS, path string, build func(float64) (*recovery.Executable,
 		fmt.Fprintln(stderr, "fluidvm: resume:", err)
 		return exitCertFailed
 	case buildErr != nil:
-		return fail(stderr, buildErr)
+		return notRun(stderr, buildErr)
 	}
 	fmt.Fprintln(stderr, "fluidvm: resume:", err)
 	return exitResumeFailed

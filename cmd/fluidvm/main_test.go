@@ -93,6 +93,50 @@ func TestJournalCrashResume(t *testing.T) {
 	}
 }
 
+// A budget that runs out while -resume rebuilds the assay is a bounded
+// stop like any other: exit 5, nothing appended to the journal, and a
+// later unbounded -resume completes the run as if it had never stopped.
+func TestResumeBudgetTrip(t *testing.T) {
+	dir := t.TempDir()
+	refCode, refOut, _ := runCLI(t, "-journal", filepath.Join(dir, "ref.aqj"), glucose)
+	if refCode != exitCompleted {
+		t.Fatalf("reference run exit %d", refCode)
+	}
+	crashPath := filepath.Join(dir, "crash.aqj")
+	if code, _, errw := runCLI(t, "-journal", crashPath, "-crash-at", "5", glucose); code != exitAborted {
+		t.Fatalf("crash run exit %d, want %d (stderr: %s)", code, exitAborted, errw)
+	}
+	crashed, err := os.ReadFile(crashPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, _, errw := runCLI(t, "-budget", "20", "-resume", crashPath, glucose)
+	if code != exitCancelled {
+		t.Fatalf("budget-bounded resume exit %d, want %d (stderr: %s)", code, exitCancelled, errw)
+	}
+	if !strings.Contains(errw, "work budget exhausted") {
+		t.Errorf("budget stop not reported: %s", errw)
+	}
+	after, err := os.ReadFile(crashPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := journal.ReadAll(bytes.NewReader(after))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := recs[len(recs)-1]; last.Kind == journal.KindOutcome || !bytes.Equal(after, crashed) {
+		t.Fatalf("the stopped resume changed the journal (last record %s)", last.Kind)
+	}
+	code, out, errw := runCLI(t, "-resume", crashPath, glucose)
+	if code != refCode {
+		t.Fatalf("unbounded resume exit %d, want %d (stderr: %s)", code, refCode, errw)
+	}
+	if out != refOut {
+		t.Errorf("resumed stdout differs from the uninterrupted run\n got: %q\nwant: %q", out, refOut)
+	}
+}
+
 // A shipped (listing, volume table) pair — what fluidc -o/-voltab
 // writes — resumes like a compiled assay: killed mid-flight, its resume
 // prints stdout byte-identical to the uninterrupted shipped run's.

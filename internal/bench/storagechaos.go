@@ -17,11 +17,12 @@ import (
 // StorageChaosCell is one assay × seed of the storage-fault matrix
 // (E14). Every write/sync/create/rename/close/syncdir site of the
 // reference run's journal I/O receives one injected fault in turn, and
-// every struck run must land in the trichotomy: clean completion, no
-// journal at all (creation refused, loudly), or abort with a salvageable
-// journal prefix from which a resume reproduces the reference state bit
-// for bit (a restart, when no record survived the strike). All counts
-// are deterministic in (assay, seed).
+// every struck run must land in the trichotomy: clean completion, a run
+// refused loudly before its first instruction (its journal's creation
+// or begin record failed), or abort with a salvageable journal prefix
+// from which a resume reproduces the reference state bit for bit (a
+// restart, when no record survived the strike). All counts are
+// deterministic in (assay, seed).
 type StorageChaosCell struct {
 	Assay string `json:"assay"`
 	Seed  int64  `json:"seed"`
@@ -317,7 +318,7 @@ func storageChaosTable(cells []StorageChaosCell) *Table {
 	}
 	t.Notes = append(t.Notes,
 		"every write site is struck with EIO and a short write, every sync site with EIO and a lying fsync (reported failure + dropped unsynced bytes), every create/rename/close/syncdir site with EIO",
-		"trichotomy: clean completion, refused journal creation (nothing half-made on disk), or fail-stop abort whose salvaged journal prefix resumes bit-identical to the reference",
+		"trichotomy: clean completion, a run refused before its first instruction (creation is atomic, and a failed begin record leaves at most the header and a torn or complete begin frame), or fail-stop abort whose salvaged journal prefix resumes bit-identical to the reference",
 		"ENOSPC+resume: a sticky device-full fault mid-run, then resume on a healthy filesystem",
 		"snapshot fallback: the newest snapshot record is rewritten CRC-valid but without machine state; the resume ladder must skip it and restore the previous snapshot",
 		fmt.Sprintf("snapshot cadence %d boundaries; fixed seed %d; the table is byte-reproducible (timing lives only in the JSON report)", storageChaosEvery, storageChaosSeed))

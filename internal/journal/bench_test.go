@@ -13,6 +13,7 @@ import (
 	"aquavol/internal/lang"
 	"aquavol/internal/pipeline"
 	recovery "aquavol/internal/recover"
+	"aquavol/internal/vfs/vfstest"
 )
 
 // BenchmarkAppendSnapshot appends the snapshot records of a real
@@ -64,6 +65,56 @@ func BenchmarkAppendSnapshot(b *testing.B) {
 		}
 		if err := jw.Append(snaps[k]); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkOpenAppend salvages a killed journal as a resume does: the
+// Enzyme assay at n=3 under harsh faults with fluidvm -replan's
+// defaults, killed at its middle boundary. One op is one OpenAppend of
+// the whole journal, every snapshot's event log included.
+func BenchmarkOpenAppend(b *testing.B) {
+	ep, err := lang.Compile(assays.EnzymeSource(3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := pipeline.Build(ep, pipeline.Options{Config: core.DefaultConfig()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	harsh, _ := faults.Preset("harsh")
+	fsys := vfstest.NewMemFS()
+	start := func(path string, crashAt int) {
+		opts := recovery.Options{RetriesPerInstr: 3, SnapshotEvery: 8, EnableReplan: true, Crash: faults.CrashAt(crashAt)}
+		if _, err := recovery.Start(fsys, path, false, res.Executable("enzyme3"), harsh, 1, 0, aquacore.Config{SeparationYield: 0.4}, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	start("full.aqj", -1)
+	recs, err := journal.ReadAll(bytes.NewReader(fsys.Bytes("full.aqj")))
+	if err != nil {
+		b.Fatal(err)
+	}
+	steps := 0
+	for _, r := range recs {
+		if r.Kind == journal.KindStep {
+			steps++
+		}
+	}
+	start("run.aqj", steps/2)
+	b.SetBytes(int64(len(fsys.Bytes("run.aqj"))))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		recs, _, _, f, err := journal.OpenAppend(fsys, "run.aqj")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if len(recs) == 0 {
+			b.Fatal("nothing salvaged")
 		}
 	}
 }

@@ -52,9 +52,13 @@ type encoder struct {
 	patchOK    bool
 }
 
+// patchEntry is one patch, its pc also held as the decimal string
+// encoding/json orders int map keys by: key[:n], formatted once.
 type patchEntry struct {
 	pc  int
 	vol float64
+	key [20]byte
+	n   uint8
 }
 
 // record encodes r into the encoder's buffer. The returned slice is
@@ -308,16 +312,18 @@ func samePatches(cached []patchEntry, patches map[int]float64) bool {
 	return true
 }
 
-// sortedPatches collects a patch map into dst in encoding/json's key
-// order: int keys compare as their decimal strings, so 10 sorts before 9.
+// sortedPatches collects a patch map into the empty dst in
+// encoding/json's key order: int keys compare as their decimal strings,
+// so 10 sorts before 9. Each key is formatted once, then sorted on.
 func sortedPatches(dst []patchEntry, patches map[int]float64) []patchEntry {
 	for pc, v := range patches {
-		dst = append(dst, patchEntry{pc, v})
+		dst = append(dst, patchEntry{pc: pc, vol: v})
 	}
-	slices.SortFunc(dst, func(x, y patchEntry) int {
-		var xs, ys [20]byte
-		return bytes.Compare(strconv.AppendInt(xs[:0], int64(x.pc), 10), strconv.AppendInt(ys[:0], int64(y.pc), 10))
-	})
+	for i := range dst {
+		p := &dst[i]
+		p.n = uint8(len(strconv.AppendInt(p.key[:0], int64(p.pc), 10)))
+	}
+	slices.SortFunc(dst, func(x, y patchEntry) int { return bytes.Compare(x.key[:x.n], y.key[:y.n]) })
 	return dst
 }
 
@@ -327,8 +333,7 @@ func (e *encoder) appendPatches(b []byte, patches []patchEntry) []byte {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = append(b, '"')
-		b = strconv.AppendInt(b, int64(p.pc), 10)
+		b = append(append(b, '"'), p.key[:p.n]...)
 		b = e.float(append(b, `":`...), p.vol)
 	}
 	return append(b, '}')

@@ -120,8 +120,9 @@ func (f *filler) fill(v reflect.Value) {
 }
 
 // checkAgainstMarshal encodes rec and requires json.Marshal's bytes, or
-// json.Marshal's error when it has one, which it reports.
-func checkAgainstMarshal(t *testing.T, e *encoder, rec *Record, what string) error {
+// json.Marshal's error when it has one, which it reports. A payload
+// that encodes must then pass checkDecode with d.
+func checkAgainstMarshal(t *testing.T, e *encoder, d *decoder, rec *Record, what string) error {
 	t.Helper()
 	want, wantErr := json.Marshal(rec)
 	got, gotErr := e.record(rec)
@@ -135,16 +136,46 @@ func checkAgainstMarshal(t *testing.T, e *encoder, rec *Record, what string) err
 	case wantErr == nil && !bytes.Equal(got, want):
 		t.Fatalf("%s: encoder bytes differ from json.Marshal's\n got: %s\nwant: %s", what, got, want)
 	}
+	if wantErr == nil {
+		checkDecode(t, d, got, what)
+	}
 	return wantErr
 }
 
-// TestEncoderMatchesMarshal is the encoder's oracle test: records whose
-// every exported field (recursing through every nested record type) is
-// filled with adversarial values must encode to exactly json.Marshal's
-// bytes, and NaN or ±Inf anywhere must fail with json.Marshal's error.
+// checkDecode is the decoder's oracle: d must take payload, and its
+// record must be reflect.DeepEqual to json.Unmarshal's, which tells nil
+// from empty maps and slices, and re-encode to the same bytes, which
+// tells -0 from 0.
+func checkDecode(t *testing.T, d *decoder, payload []byte, what string) {
+	t.Helper()
+	got, ok := d.record(payload)
+	if !ok {
+		t.Fatalf("%s: the decoder declines a payload the encoder wrote:\n%s", what, payload)
+	}
+	want := &Record{}
+	if err := json.Unmarshal(payload, want); err != nil {
+		t.Fatalf("%s: json.Unmarshal: %v", what, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: decoded record differs from json.Unmarshal's\npayload: %s\n got: %#v\nwant: %#v", what, payload, got, want)
+	}
+	var ge, we encoder
+	gotBytes, gotErr := ge.record(got)
+	wantBytes, wantErr := we.record(want)
+	if gotErr != nil || wantErr != nil || !bytes.Equal(gotBytes, wantBytes) {
+		t.Fatalf("%s: decoded record re-encodes differently from json.Unmarshal's (%v, %v)\n got: %s\nwant: %s", what, gotErr, wantErr, gotBytes, wantBytes)
+	}
+}
+
+// TestEncoderMatchesMarshal is the encoder's and the decoder's oracle
+// test: records whose every exported field (recursing through every
+// nested record type) is filled with adversarial values must encode to
+// exactly json.Marshal's bytes and decode to json.Unmarshal's value,
+// and NaN or ±Inf anywhere must fail with json.Marshal's error.
 func TestEncoderMatchesMarshal(t *testing.T) {
 	f := &filler{t: t, rng: rand.New(rand.NewSource(1)), seen: map[reflect.Type]bool{}}
 	var e encoder
+	var d decoder
 	failed := 0
 	for i := 0; i < 4000; i++ {
 		f.bad = 0
@@ -153,7 +184,7 @@ func TestEncoderMatchesMarshal(t *testing.T) {
 		}
 		rec := &Record{}
 		f.fill(reflect.ValueOf(rec).Elem())
-		if checkAgainstMarshal(t, &e, rec, "random record") != nil {
+		if checkAgainstMarshal(t, &e, &d, rec, "random record") != nil {
 			failed++
 		}
 	}
@@ -171,10 +202,11 @@ func TestEncoderMatchesMarshal(t *testing.T) {
 	}
 }
 
-// TestEncoderSnapshotSequence feeds one encoder snapshots whose event
-// logs grow, shrink and diverge and whose patch overlays change, so the
-// event-log and patch caches are hit, partly hit and missed; every
-// record must still encode to json.Marshal's bytes.
+// TestEncoderSnapshotSequence feeds one encoder and one decoder
+// snapshots whose event logs grow, shrink and diverge and whose patch
+// overlays change, so the event-log and patch caches are hit, partly
+// hit and missed; every record must still encode to json.Marshal's
+// bytes and decode to json.Unmarshal's value.
 func TestEncoderSnapshotSequence(t *testing.T) {
 	ev := func(k int, detail string) aquacore.Event {
 		return aquacore.Event{Kind: aquacore.EventKind(k % 10), PC: k, Instr: "move s1, s2", Detail: detail}
@@ -213,6 +245,7 @@ func TestEncoderSnapshotSequence(t *testing.T) {
 		{"first one again", log(3, "a"), map[int]float64{9: 1.5}, 16},
 	}
 	var e encoder
+	var d decoder
 	for _, s := range steps {
 		rec := &Record{Kind: KindSnapshot, Snapshot: &Snapshot{
 			Boundary: 1, PC: 2,
@@ -223,6 +256,6 @@ func TestEncoderSnapshotSequence(t *testing.T) {
 				Patches:    s.patches,
 			},
 		}}
-		checkAgainstMarshal(t, &e, rec, s.name)
+		checkAgainstMarshal(t, &e, &d, rec, s.name)
 	}
 }

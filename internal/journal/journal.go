@@ -16,12 +16,17 @@
 // encoding/json's json.Marshal produces for it. A hand encoder
 // (encode.go) writes those bytes without reflection, into a buffer the
 // Writer reuses, re-encoding only the events a snapshot adds to the
-// previous one's event log; json.Marshal is its test oracle and
-// encoding/json remains the decoder. A field added to any record type,
-// aquacore.Snapshot and the types it nests included, must be added to
-// the encoder in the same change: the reflection-driven property test
-// fills every exported field and fails until the bytes match
-// json.Marshal's again.
+// previous one's event log; json.Marshal is its test oracle. A hand
+// decoder (decode.go) reads them back the same way, parsing only the
+// events a snapshot adds to the previous one's log. It takes only the
+// bytes the encoder writes and declines anything else to
+// json.Unmarshal, which is also its test oracle, so a record, or the
+// error it fails with, is the same whichever path read it. A field
+// added to any record type, aquacore.Snapshot and the types it nests
+// included, must be added to the encoder and the decoder in the same
+// change: the reflection-driven property test fills every exported
+// field and fails until the bytes match json.Marshal's and the decoder
+// takes them again.
 //
 // The frame makes the two crash failure modes distinguishable on
 // read-back:

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"aquavol/internal/vfs"
 )
@@ -24,6 +25,13 @@ type Reader struct {
 	// read is the offset consumed so far.
 	read int64
 	err  error
+	// buf holds the payload being decoded, reused across records.
+	buf []byte
+	// dec decodes the payloads the encoder writes, keeping the last
+	// snapshot's event log; declined counts the payloads it handed to
+	// json.Unmarshal instead.
+	dec      decoder
+	declined int
 }
 
 // NewReader starts decoding from r.
@@ -84,7 +92,8 @@ func (jr *Reader) next() (*Record, error) {
 	if length > maxRecord {
 		return nil, fmt.Errorf("%w: frame at offset %d claims %d-byte payload (limit %d)", ErrCorrupt, jr.good, length, maxRecord)
 	}
-	payload := make([]byte, length)
+	jr.buf = slices.Grow(jr.buf[:0], int(length))
+	payload := jr.buf[:length]
 	n, err = io.ReadFull(jr.r, payload)
 	jr.read += int64(n)
 	switch {
@@ -96,9 +105,13 @@ func (jr *Reader) next() (*Record, error) {
 	if got := crc32.ChecksumIEEE(payload); got != sum {
 		return nil, fmt.Errorf("%w: CRC mismatch at offset %d (stored %08x, computed %08x)", ErrCorrupt, jr.good, sum, got)
 	}
-	rec := &Record{}
-	if err := json.Unmarshal(payload, rec); err != nil {
-		return nil, fmt.Errorf("%w: undecodable payload at offset %d: %w", ErrCorrupt, jr.good, err)
+	rec, ok := jr.dec.record(payload)
+	if !ok {
+		jr.declined++
+		rec = &Record{}
+		if err := json.Unmarshal(payload, rec); err != nil {
+			return nil, fmt.Errorf("%w: undecodable payload at offset %d: %w", ErrCorrupt, jr.good, err)
+		}
 	}
 	if err := rec.validate(); err != nil {
 		return nil, fmt.Errorf("%w (at offset %d)", err, jr.good)

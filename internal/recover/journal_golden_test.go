@@ -17,6 +17,7 @@ import (
 	"aquavol/internal/lang"
 	"aquavol/internal/pipeline"
 	recovery "aquavol/internal/recover"
+	"aquavol/internal/vfs/vfstest"
 )
 
 // fluidvm's defaults for a -replan run: the configuration the journal
@@ -92,7 +93,7 @@ func journaledRun(t *testing.T, program, run string, res *pipeline.Result, p fau
 		m, err = machine(acfg)
 		return m, err
 	}
-	fsys := newMemFS()
+	fsys := vfstest.NewMemFS()
 	opts := recovery.Options{RetriesPerInstr: vmRetries, SnapshotEvery: vmSnapshotEvery, EnableReplan: true}
 	if crashAt >= 0 {
 		opts.Crash = faults.CrashAt(crashAt)
@@ -110,7 +111,7 @@ func journaledRun(t *testing.T, program, run string, res *pipeline.Result, p fau
 			t.Fatalf("%s: resume: %v", run, err)
 		}
 	}
-	return fsys.files[vmJournal].b, stateDigest(t, m)
+	return fsys.Bytes(vmJournal), stateDigest(t, m)
 }
 
 // stepRecords counts the instruction boundaries a journal records.

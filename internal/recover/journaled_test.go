@@ -13,6 +13,7 @@ import (
 	"aquavol/internal/lang"
 	"aquavol/internal/pipeline"
 	recovery "aquavol/internal/recover"
+	"aquavol/internal/vfs/vfstest"
 )
 
 func executable(t *testing.T, name, src string) *recovery.Executable {
@@ -35,7 +36,7 @@ func TestResumeRefusals(t *testing.T) {
 	glucose := executable(t, "glucose", assays.GlucoseSource)
 	p, _ := faults.Preset("moderate")
 	opts := recovery.Options{RetriesPerInstr: 2, SnapshotEvery: 4, EnableReplan: true}
-	start := func(fsys *memFS, crashAt int) {
+	start := func(fsys *vfstest.MemFS, crashAt int) {
 		t.Helper()
 		o := opts
 		if crashAt >= 0 {
@@ -47,14 +48,14 @@ func TestResumeRefusals(t *testing.T) {
 			t.Fatalf("kill at boundary %d did not strike: run ended %s", crashAt, out.Status)
 		}
 	}
-	resume := func(fsys *memFS, x *recovery.Executable, o recovery.Options) (*recovery.Outcome, *journal.Begin, error) {
+	resume := func(fsys *vfstest.MemFS, x *recovery.Executable, o recovery.Options) (*recovery.Outcome, *journal.Begin, error) {
 		var got *journal.Begin
 		out, _, err := recovery.Resume(fsys, vmJournal, aquacore.Config{}, o,
 			func(b *journal.Begin) (*recovery.Executable, error) { got = b; return x, nil }, nil)
 		return out, got, err
 	}
 
-	killed := newMemFS()
+	killed := vfstest.NewMemFS()
 	start(killed, 9)
 	out, b, err := resume(killed, glucose, recovery.Options{})
 	if err != nil || out.Status == recovery.Aborted {
@@ -69,7 +70,7 @@ func TestResumeRefusals(t *testing.T) {
 		t.Errorf("resume of a finished journal: %v, want ErrClosed", err)
 	}
 
-	noBegin := newMemFS()
+	noBegin := vfstest.NewMemFS()
 	jw, f, err := journal.Create(noBegin, vmJournal, false)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +85,7 @@ func TestResumeRefusals(t *testing.T) {
 		t.Errorf("resume of a journal with no begin record: %v (rebuild called: %v), want ErrNoBegin", err, b != nil)
 	}
 
-	failed := newMemFS()
+	failed := vfstest.NewMemFS()
 	start(failed, 9)
 	errBuild := errors.New("rebuild failed")
 	if out, _, err := recovery.Resume(failed, vmJournal, aquacore.Config{}, recovery.Options{},
@@ -104,7 +105,7 @@ func TestResumeRefusals(t *testing.T) {
 		{"other certificate, unchecked", &recovery.Executable{Name: "glucose", Prog: glucose.Prog, Compiled: glucose.Compiled,
 			CertHash: glucose.CertHash ^ 1, Machine: glucose.Machine}, recovery.Options{NoCertify: true}, nil},
 	} {
-		fsys := newMemFS()
+		fsys := vfstest.NewMemFS()
 		start(fsys, 9)
 		out, _, err := resume(fsys, tc.x, tc.opts)
 		if !errors.Is(err, tc.want) || (out == nil) != (tc.want != nil) {
