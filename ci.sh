@@ -78,10 +78,13 @@ echo "== benchmark smoke =="
 # snapshot appends and the salvage of a killed harsh-fault Enzyme n=3
 # journal, whole harsh-fault Enzyme n=3 runs on the machine, and
 # certification of the glucose and Enzyme n=4 plans and of a
-# harsh-fault Enzyme n=3 replan and its patches.
+# harsh-fault Enzyme n=3 replan and its patches, and the LP solves and
+# Fig. 6 hierarchy runs of the paper's evaluation, Enzyme10's LP and the
+# plan workload's core (Manage on the Enzyme assay at n=5) among them.
 go test -run '^$' -bench 'BenchmarkAppendSnapshot|BenchmarkOpenAppend' -benchtime=1x ./internal/journal
 go test -run '^$' -bench 'BenchmarkExecFaulty' -benchtime=1x ./internal/aquacore
 go test -run '^$' -bench 'BenchmarkCheck' -benchtime=1x ./internal/certify
+go test -run '^$' -bench 'BenchmarkLP|BenchmarkManage' -benchtime=1x .
 
 echo "== fuzz smoke (10s each) =="
 go test -fuzz=FuzzAssemble -fuzztime=10s ./internal/ais
@@ -91,6 +94,8 @@ go test -run '^$' -fuzz='^FuzzDecodePayload$' -fuzztime=10s ./internal/journal
 # certify's tests (the tier-agreement oracle) already ran in the race
 # step; only its fuzz target runs here.
 go test -run '^$' -fuzz=FuzzCertifyTiers -fuzztime=10s ./internal/certify
+# The kernel oracle: the deferred simplex against the eager reference.
+go test -run '^$' -fuzz=FuzzSolveKernels -fuzztime=10s ./internal/lp
 
 echo "== aisverify over compiled examples =="
 tmp=$(mktemp -d)

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	volbench [-experiment all|fig5|glucose|glycomics|enzyme|rounding|table2|scaling|lpablation|ilp|regen|ablations|cascade-depth|replica-sweep|regen-strategy|output-skew|robustness|margin-sweep|durability|replan|solver|storage-chaos|bounded|certify]
-//	         [-full] [-sweep N] [-seeds N] [-json FILE] [-ilp-nodes N] [-ilp-time D]
+//	         [-sweep N] [-seeds N] [-json FILE] [-ilp-nodes N] [-ilp-time D]
 //
 // -experiment solver measures the raw planning throughput/latency
 // baseline (plans/sec, p50/p99 per shipped assay and solver); with
@@ -32,10 +32,6 @@
 // surviving mutant fails the run. The kill table is deterministic;
 // -json adds the certify-vs-pipeline overhead (BENCH_certify.json at
 // the repository root is the recorded trajectory).
-//
-// -full enables the Enzyme10 LP solve in table2. It takes under a second
-// (0.72–0.80 s on a 2.1 GHz Xeon), nearly all of it spent obtaining and
-// zeroing the 1.03 GB dense tableau of its 9,096 rows.
 package main
 
 import (
@@ -49,7 +45,6 @@ import (
 
 func main() {
 	experiment := flag.String("experiment", "all", "which experiment to run")
-	full := flag.Bool("full", false, "include the Enzyme10 LP solve (under a second, 1 GB of tableau)")
 	sweep := flag.Int("sweep", 5, "max N for the EnzymeN scaling sweep")
 	seeds := flag.Int("seeds", 5, "seeds per cell in the robustness Monte-Carlo sweep")
 	jsonOut := flag.String("json", "", "write the machine-readable report of the solver, storage-chaos, bounded or certify experiment to this file")
@@ -74,7 +69,7 @@ func main() {
 	case "bounded":
 		reported(bench.Bounded())
 	case "all":
-		tables = bench.All(*full, *sweep)
+		tables = bench.All(*sweep)
 	case "fig5":
 		tables = []*bench.Table{bench.Fig5()}
 	case "glucose":
@@ -86,7 +81,7 @@ func main() {
 	case "rounding":
 		tables = []*bench.Table{bench.Rounding()}
 	case "table2":
-		tables = []*bench.Table{bench.Table2(*full)}
+		tables = []*bench.Table{bench.Table2()}
 	case "scaling":
 		tables = []*bench.Table{bench.ScalingTable(*sweep)}
 	case "lpablation":

@@ -390,11 +390,8 @@ func glycomicsTimes() (dagT, lpT time.Duration, constraints int) {
 }
 
 // Table2 reproduces Table 2: DAGSolve vs LP run times, LP constraint
-// counts, and regeneration counts without volume management. Enzyme10's
-// LP solve needs a 1.03 GB dense tableau (under a second on a 2.1 GHz
-// Xeon); it only runs when full is set, and its constraint count and
-// DAGSolve time are always reported.
-func Table2(full bool) *Table {
+// counts, and regeneration counts without volume management.
+func Table2() *Table {
 	t := &Table{
 		ID:    "E6/Table2",
 		Title: "DAGSolve vs LP vs regeneration (paper Table 2)",
@@ -407,13 +404,8 @@ func Table2(full bool) *Table {
 		if lpT > 0 && dagT > 0 {
 			ratio = fmt.Sprintf("%.0fx", float64(lpT)/float64(dagT))
 		}
-		lpS := fmtDur(lpT)
-		if lpT == 0 {
-			lpS = "(skipped; -full)"
-			ratio = "-"
-		}
 		t.Rows = append(t.Rows, []string{
-			name, fmtDur(dagT), lpS, ratio,
+			name, fmtDur(dagT), fmtDur(lpT), ratio,
 			fmt.Sprintf("%d (%s)", cons, paperCons),
 			fmt.Sprintf("%d (%s)", regenCount, paperRegen),
 		})
@@ -431,30 +423,13 @@ func Table2(full bool) *Table {
 	addRow("Enzyme", dagT, lpT, cons, "872", rg.Triggers, "85")
 
 	e10 := assays.EnzymeDAG(10)
-	c10 := cfg()
-	dagT = timeIt(func() {
-		if _, err := core.DAGSolve(e10, c10, nil); err != nil {
-			panic(err)
-		}
-	})
-	f10, err := core.Formulate(e10, c10, core.FormulateOptions{}, nil)
-	if err != nil {
-		panic(err)
-	}
-	var lp10 time.Duration
-	if full {
-		start := time.Now() //fluidvet:allow determinism wall-clock timing is the benchmark's measurement, reported not replayed
-		if _, err := f10.Solve(lp.Options{}); err != nil && err != core.ErrLPInfeasible {
-			panic(err)
-		}
-		lp10 = time.Since(start) //fluidvet:allow determinism wall-clock timing is the benchmark's measurement, reported not replayed
-	}
-	rg = regen.Execute(e10, c10, regen.ExecOptions{})
-	addRow("Enzyme10", dagT, lp10, f10.Counts.Total(), "11258", rg.Triggers, "1313")
+	dagT, lpT, cons = solveTimes(e10, core.FormulateOptions{})
+	rg = regen.Execute(e10, c, regen.ExecOptions{})
+	addRow("Enzyme10", dagT, lpT, cons, "11258", rg.Triggers, "1313")
 
 	t.Notes = append(t.Notes,
 		"paper (750 MHz P3, Matlab LIPSOL): glucose ~0/0.08s, glycomics 0.003/0.28s, enzyme 0.016/0.73s, enzyme10 1.57s/20min",
-		"absolute times differ (our simplex vs LIPSOL, modern CPU); the claim is the ratio and its growth with assay size",
+		"absolute times differ (our simplex vs LIPSOL, modern CPU); the paper's claim is the ratio's growth with assay size, which our simplex does not show: it proves Enzyme10's LP infeasible in 44 pivots (EXPERIMENTS.md E6)",
 		"with DAGSolve there are no regenerations (see E9)")
 	return t
 }
@@ -636,8 +611,8 @@ func Regen() *Table {
 	return t
 }
 
-// All runs every experiment. full enables the long Enzyme10 LP solve.
-func All(full bool, sweepN int) []*Table {
+// All runs every experiment.
+func All(sweepN int) []*Table {
 	if sweepN == 0 {
 		sweepN = 5
 	}
@@ -647,7 +622,7 @@ func All(full bool, sweepN int) []*Table {
 		Glycomics(),
 		Enzyme(),
 		Rounding(),
-		Table2(full),
+		Table2(),
 		ScalingTable(sweepN),
 		LPAblation(),
 		ILP(ILPBounds{}),

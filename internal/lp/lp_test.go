@@ -1,8 +1,10 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -172,8 +174,9 @@ func TestNegativeLowerBound(t *testing.T) {
 	}
 }
 
-// Beale's classic cycling example must terminate (Bland fallback).
-func TestBealeCyclingTerminates(t *testing.T) {
+// bealeLP is Beale's classic cycling example: Dantzig's rule cycles on
+// it until the Bland fallback takes over.
+func bealeLP() *Problem {
 	p := NewProblem(Minimize)
 	x1 := p.AddVariable("x1")
 	x2 := p.AddVariable("x2")
@@ -186,7 +189,12 @@ func TestBealeCyclingTerminates(t *testing.T) {
 	p.AddConstraint("c1", []Term{{x1, 0.25}, {x2, -60}, {x3, -0.04}, {x4, 9}}, LE, 0)
 	p.AddConstraint("c2", []Term{{x1, 0.5}, {x2, -90}, {x3, -0.02}, {x4, 3}}, LE, 0)
 	p.AddConstraint("c3", []Term{{x3, 1}}, LE, 1)
-	s := solveOrFatal(t, p)
+	return p
+}
+
+// Beale's classic cycling example must terminate (Bland fallback).
+func TestBealeCyclingTerminates(t *testing.T) {
+	s := solveOrFatal(t, bealeLP())
 	if s.Status != Optimal {
 		t.Fatalf("status = %v, want optimal", s.Status)
 	}
@@ -195,9 +203,10 @@ func TestBealeCyclingTerminates(t *testing.T) {
 	}
 }
 
-// Degenerate constraints (redundant equalities) should not break phase 1's
-// artificial expulsion.
-func TestRedundantEqualities(t *testing.T) {
+// redundantEqualityLP has two equalities on one hyperplane: phase 1 ends
+// with an artificial basic in a row that is zero over the real columns,
+// which expelArtificials clears.
+func redundantEqualityLP() *Problem {
 	p := NewProblem(Maximize)
 	x := p.AddVariable("x")
 	y := p.AddVariable("y")
@@ -206,7 +215,13 @@ func TestRedundantEqualities(t *testing.T) {
 	p.AddConstraint("e1", []Term{{x, 1}, {y, 1}}, EQ, 4)
 	p.AddConstraint("e2", []Term{{x, 2}, {y, 2}}, EQ, 8) // same hyperplane
 	p.AddConstraint("cap", []Term{{x, 1}}, LE, 3)
-	s := solveOrFatal(t, p)
+	return p
+}
+
+// Degenerate constraints (redundant equalities) should not break phase 1's
+// artificial expulsion.
+func TestRedundantEqualities(t *testing.T) {
+	s := solveOrFatal(t, redundantEqualityLP())
 	if s.Status != Optimal || !approx(s.Objective, 4) {
 		t.Fatalf("got %v obj=%v, want optimal 4", s.Status, s.Objective)
 	}
@@ -255,10 +270,9 @@ func TestIterationLimit(t *testing.T) {
 	}
 }
 
-// Klee–Minty cube in 4 dimensions: worst case for Dantzig pivoting but must
-// still reach the known optimum.
-func TestKleeMinty(t *testing.T) {
-	const d = 4
+// kleeMintyLP is the Klee–Minty cube in d dimensions, the worst case for
+// Dantzig pivoting: its optimum is 5^d.
+func kleeMintyLP(d int) *Problem {
 	p := NewProblem(Maximize)
 	vars := make([]VarID, d)
 	for i := 0; i < d; i++ {
@@ -274,7 +288,14 @@ func TestKleeMinty(t *testing.T) {
 		}
 		p.AddConstraint("", terms, LE, math.Pow(5, float64(i+1)))
 	}
-	s := solveOrFatal(t, p)
+	return p
+}
+
+// Klee–Minty cube in 4 dimensions: worst case for Dantzig pivoting but must
+// still reach the known optimum.
+func TestKleeMinty(t *testing.T) {
+	const d = 4
+	s := solveOrFatal(t, kleeMintyLP(d))
 	if s.Status != Optimal || !approx(s.Objective, math.Pow(5, d)) {
 		t.Fatalf("got %v obj=%v, want optimal %v", s.Status, s.Objective, math.Pow(5, d))
 	}
@@ -504,4 +525,72 @@ func TestBoundsPanicOnInverted(t *testing.T) {
 	p := NewProblem(Minimize)
 	x := p.AddVariable("x")
 	p.SetBounds(x, 5, 1)
+}
+
+// mergeTermsMap is mergeTerms as first written, accumulating in a map and
+// sorting with sort.Slice; it is kept as mergeTerms' oracle.
+func mergeTermsMap(terms []Term, nvars int) []Term {
+	acc := make(map[VarID]float64, len(terms))
+	for _, t := range terms {
+		if t.Var < 0 || int(t.Var) >= nvars {
+			panic(fmt.Sprintf("lp: term references unknown variable %d (have %d)", t.Var, nvars))
+		}
+		acc[t.Var] += t.Coef
+	}
+	out := make([]Term, 0, len(acc))
+	for v, c := range acc {
+		if c != 0 {
+			out = append(out, Term{Var: v, Coef: c})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Var < out[j].Var })
+	return out
+}
+
+// Property: mergeTerms returns the map version's terms bit for bit on
+// random term lists with duplicates, zeros, −0, cancelling sums and
+// unsorted ids, leaves its input alone, and panics alike on a bad id.
+func TestMergeTermsMatchesMap(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for n := 0; n < 20000; n++ {
+		nvars := 1 + r.Intn(12)
+		terms := make([]Term, r.Intn(24))
+		for i := range terms {
+			var c float64
+			switch r.Intn(6) {
+			case 0:
+				c = 0
+			case 1:
+				c = math.Copysign(0, -1)
+			case 2:
+				c = float64(r.Intn(7) - 3)
+			default:
+				c = r.NormFloat64() * math.Pow(10, float64(r.Intn(9)-4))
+			}
+			terms[i] = Term{VarID(r.Intn(nvars)), c}
+		}
+		input := append([]Term(nil), terms...)
+		got, want := mergeTerms(terms, nvars), mergeTermsMap(terms, nvars)
+		if len(got) != len(want) {
+			t.Fatalf("%v: %d terms, want %d", terms, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Var != want[i].Var || math.Float64bits(got[i].Coef) != math.Float64bits(want[i].Coef) {
+				t.Fatalf("%v: term %d is %v, want %v", terms, i, got[i], want[i])
+			}
+		}
+		for i := range terms {
+			if terms[i].Var != input[i].Var || math.Float64bits(terms[i].Coef) != math.Float64bits(input[i].Coef) {
+				t.Fatalf("mergeTerms changed its input: %v, was %v", terms, input)
+			}
+		}
+	}
+	panicOf := func(merge func([]Term, int) []Term) (msg any) {
+		defer func() { msg = recover() }()
+		merge([]Term{{0, 1}, {3, 2}, {-1, 1}}, 2)
+		return nil
+	}
+	if got, want := panicOf(mergeTerms), panicOf(mergeTermsMap); got == nil || got != want {
+		t.Fatalf("panic %v, want %v", got, want)
+	}
 }

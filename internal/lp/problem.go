@@ -1,9 +1,10 @@
 package lp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -160,23 +161,29 @@ func (p *Problem) Constraint(c ConID) (terms []Term, sense Sense, rhs float64) {
 }
 
 // mergeTerms sums duplicate variables, drops zero coefficients, and checks
-// variable ids. The result is sorted by variable id for determinism.
+// variable ids. The result is sorted by variable id for determinism. Each
+// variable's coefficients are summed from +0 in the order given; the sort
+// is stable so that this order survives it.
 func mergeTerms(terms []Term, nvars int) []Term {
-	acc := make(map[VarID]float64, len(terms))
 	for _, t := range terms {
 		if t.Var < 0 || int(t.Var) >= nvars {
 			panic(fmt.Sprintf("lp: term references unknown variable %d (have %d)", t.Var, nvars))
 		}
-		acc[t.Var] += t.Coef
 	}
-	out := make([]Term, 0, len(acc))
-	for v, c := range acc {
-		if c != 0 {
-			out = append(out, Term{Var: v, Coef: c})
+	out := append(make([]Term, 0, len(terms)), terms...)
+	slices.SortStableFunc(out, func(a, b Term) int { return cmp.Compare(a.Var, b.Var) })
+	k := 0
+	for i := 0; i < len(out); {
+		v, sum := out[i].Var, 0.0
+		for ; i < len(out) && out[i].Var == v; i++ {
+			sum += out[i].Coef
+		}
+		if sum != 0 {
+			out[k] = Term{Var: v, Coef: sum}
+			k++
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Var < out[j].Var })
-	return out
+	return out[:k]
 }
 
 // String renders the problem in a compact human-readable LP format, useful

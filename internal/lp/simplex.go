@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"aquavol/internal/budget"
 )
@@ -103,174 +102,43 @@ type column struct {
 // Options.Budget (a typed budget stop; match with budget.IsStop);
 // infeasibility and unboundedness are reported through Solution.Status.
 //
-// Solve is certified parallel-safe: distinct Problems may be solved
-// concurrently. (Solving one Problem from two goroutines still races on
-// the receiver itself, as with any mutable value.)
+// Solve is certified parallel-safe: any Problems may be solved
+// concurrently, one Problem from several goroutines too, since Solve only
+// reads its receiver. (Adding to a Problem while it is being solved races,
+// as with any mutable value.)
 //
 //fluidvet:parallelsafe
 func (p *Problem) Solve(opts Options) (*Solution, error) {
-	for _, v := range p.vars {
-		if math.IsNaN(v.lo) || math.IsNaN(v.hi) || math.IsNaN(v.obj) {
-			return nil, fmt.Errorf("%w: NaN in variable %q", ErrBadProblem, v.name)
-		}
+	if err := p.validate(); err != nil {
+		return nil, err
 	}
-	for _, c := range p.cons {
-		if math.IsNaN(c.rhs) {
-			return nil, fmt.Errorf("%w: NaN rhs in constraint %q", ErrBadProblem, c.name)
-		}
-		for _, t := range c.terms {
-			if math.IsNaN(t.Coef) {
-				return nil, fmt.Errorf("%w: NaN coefficient in constraint %q", ErrBadProblem, c.name)
-			}
-		}
-	}
-
-	// Build structural columns. Each variable with a finite lower bound is
-	// shifted (x = lo + x'); free variables split into two columns.
-	var cols []column
-	colOf := make([]int, len(p.vars)) // first column of each variable
-	shift := make([]float64, len(p.vars))
-	for j, v := range p.vars {
-		colOf[j] = len(cols)
-		if math.IsInf(v.lo, -1) {
-			cols = append(cols, column{VarID(j), 1}, column{VarID(j), -1})
-		} else {
-			shift[j] = v.lo
-			cols = append(cols, column{VarID(j), 1})
-		}
-	}
-	nStruct := len(cols)
-
-	// Rows: user constraints plus internal upper-bound rows, each
-	// normalized to b ≥ 0. flip remembers which rows were negated so
-	// dual values can be mapped back to the original row orientation
-	// after the solve.
-	type row struct {
-		sense Sense
-		rhs   float64
-		flip  bool
-	}
-	rows := make([]row, 0, len(p.cons))
-	nSlack, nArt := 0, 0
-	addRow := func(sense Sense, rhs float64) {
-		r := row{sense: sense, rhs: rhs}
-		if rhs < 0 {
-			r.flip, r.rhs = true, -rhs
-			switch sense {
-			case LE:
-				r.sense = GE
-			case GE:
-				r.sense = LE
-			}
-		}
-		switch r.sense {
-		case LE:
-			nSlack++
-		case GE:
-			nSlack++ // surplus
-			nArt++
-		case EQ:
-			nArt++
-		}
-		rows = append(rows, r)
-	}
-	for _, c := range p.cons {
-		rhs := c.rhs
-		for _, tm := range c.terms {
-			if !math.IsInf(p.vars[tm.Var].lo, -1) {
-				rhs -= tm.Coef * shift[tm.Var]
-			}
-		}
-		addRow(c.sense, rhs)
-	}
-	for _, v := range p.vars {
-		switch {
-		case math.IsInf(v.hi, 1):
-		case math.IsInf(v.lo, -1):
-			addRow(LE, v.hi)
-		default:
-			addRow(LE, v.hi-v.lo)
-		}
-	}
-	m := len(rows)
-	opt := opts.withDefaults(m, nStruct)
-
-	n := nStruct + nSlack + nArt // total columns (rhs stored separately)
-	t := newTableau(m, n, n-nArt)
+	t := takeTableau()
 	defer releaseTableau(t)
-	// Fill the structural columns straight from the sparse terms: the
-	// merged terms name each variable once, so every entry is written
-	// once, negated on a flipped row.
-	set := func(i, j int, coef float64) {
-		if rows[i].flip {
-			coef = -coef
-		}
-		t.a[i*t.stride+j] = coef
-	}
-	for i, c := range p.cons {
-		for _, tm := range c.terms {
-			ci := colOf[tm.Var]
-			set(i, ci, tm.Coef)
-			if math.IsInf(p.vars[tm.Var].lo, -1) {
-				set(i, ci+1, -tm.Coef)
-			}
-		}
-	}
-	ub := len(p.cons) // the next upper-bound row
-	for j, v := range p.vars {
-		if math.IsInf(v.hi, 1) {
-			continue
-		}
-		set(ub, colOf[j], 1)
-		if math.IsInf(v.lo, -1) {
-			set(ub, colOf[j]+1, -1)
-		}
-		ub++
-	}
-	// idCol[i] is the identity column of row i — the auxiliary column
-	// (slack for LE, artificial for GE/EQ) whose only nonzero entry is a
-	// +1 in row i and whose phase-2 objective coefficient is zero. At
-	// phase-2 optimality, -cost[idCol[i]] is therefore exactly the
-	// internal dual value of row i.
-	idCol := make([]int, m)
-	slackAt, artAt := nStruct, nStruct+nSlack
-	for i, r := range rows {
-		base := i * t.stride
-		t.a[base+n] = r.rhs
-		switch r.sense {
-		case LE:
-			t.a[base+slackAt] = 1
-			t.basis[i] = slackAt
-			idCol[i] = slackAt
-			slackAt++
-		case GE:
-			t.a[base+slackAt] = -1
-			slackAt++
-			t.a[base+artAt] = 1
-			t.basis[i] = artAt
-			idCol[i] = artAt
-			artAt++
-		case EQ:
-			t.a[base+artAt] = 1
-			t.basis[i] = artAt
-			idCol[i] = artAt
-			artAt++
-		}
-	}
+	return p.solve(t, opts)
+}
 
+// solve runs the simplex on p, which validate accepted, in t's storage.
+func (p *Problem) solve(t *tableau, opts Options) (*Solution, error) {
+	f := p.standardForm(t)
+	opt := opts.withDefaults(t.m, len(f.cols))
 	sol := &Solution{X: make([]float64, len(p.vars))}
 
 	// Phase 1: minimize the sum of artificial variables. The reduced
 	// costs are minus the column sums over the artificial-basic rows,
 	// accumulated row by row (in row order, as a column scan would).
-	if nArt > 0 {
-		for i := 0; i < m; i++ {
+	// Every row is still its sparse constraint row. Its other entries are
+	// +0, and a sum that starts at +0 never becomes −0, so adding them
+	// would change no bits.
+	n := t.n
+	if f.nArt > 0 {
+		for i := 0; i < t.m; i++ {
 			if t.basis[i] < t.artLo {
 				continue
 			}
-			for j, v := range t.row(i) {
-				t.cost[j] += v
+			for q := t.rowAt[i]; q < t.rowAt[i+1]; q++ {
+				t.cost[t.rowCol[q]] += t.rowVal[q]
 			}
+			t.cost[n] += t.rhs[i]
 		}
 		for j, c := range t.cost {
 			t.cost[j] = -c
@@ -298,25 +166,18 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 
 	// Phase 2: original objective. Build reduced costs from the current
 	// basis, cost[j] = c_j − Σ_i c_{basis(i)}·T[i][j], row by row over the
-	// cost-bearing basic rows (in row order, as a column scan would).
-	sign := 1.0
-	if p.dir == Maximize {
-		sign = -1
-	}
-	structCost := func(j int) float64 {
-		if j >= nStruct {
-			return 0
-		}
-		return sign * p.vars[cols[j].orig].obj * cols[j].sign
-	}
+	// cost-bearing basic rows (in row order, as a column scan would). Each
+	// such row is brought up to date whole: subtracting cb·0 can turn a −0
+	// cost into +0, so its zero entries count too.
 	for j := range t.cost {
-		t.cost[j] = structCost(j)
+		t.cost[j] = f.cost(p, j)
 	}
-	for i := 0; i < m; i++ {
-		if cb := structCost(t.basis[i]); cb != 0 {
+	for i := 0; i < t.m; i++ {
+		if cb := f.cost(p, t.basis[i]); cb != 0 {
 			for j, v := range t.row(i) {
 				t.cost[j] -= cb * v
 			}
+			t.cost[n] -= cb * t.rhs[i]
 		}
 	}
 
@@ -329,23 +190,224 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 		sol.Status = st
 		return sol, nil
 	}
+	p.optimum(f, sol, t.basis, t.rhs, t.cost)
+	return sol, nil
+}
 
+// validate rejects a problem with a NaN anywhere.
+func (p *Problem) validate() error {
+	for _, v := range p.vars {
+		if math.IsNaN(v.lo) || math.IsNaN(v.hi) || math.IsNaN(v.obj) {
+			return fmt.Errorf("%w: NaN in variable %q", ErrBadProblem, v.name)
+		}
+	}
+	for _, c := range p.cons {
+		if math.IsNaN(c.rhs) {
+			return fmt.Errorf("%w: NaN rhs in constraint %q", ErrBadProblem, c.name)
+		}
+		for _, t := range c.terms {
+			if math.IsNaN(t.Coef) {
+				return fmt.Errorf("%w: NaN coefficient in constraint %q", ErrBadProblem, c.name)
+			}
+		}
+	}
+	return nil
+}
+
+// form records how a Problem maps onto the simplex's standard form,
+// min cᵀx over x ≥ 0 with every row's rhs ≥ 0, so that a solution can be
+// mapped back.
+type form struct {
+	cols  []column  // the structural columns
+	colOf []int     // the first column of each variable
+	shift []float64 // each variable's lower-bound shift
+	flip  []bool    // rows negated to make their rhs ≥ 0, whose duals flip back
+	// idCol[i] is the identity column of row i — the auxiliary column
+	// (slack for LE, artificial for GE/EQ) whose only nonzero entry is a
+	// +1 in row i and whose phase-2 objective coefficient is zero. At
+	// phase-2 optimality, -cost[idCol[i]] is therefore exactly the
+	// internal dual value of row i.
+	idCol []int
+	nArt  int     // artificial columns
+	sign  float64 // −1 when maximizing, so that the simplex minimizes
+}
+
+// cost is column j's phase-2 objective coefficient.
+func (f *form) cost(p *Problem, j int) float64 {
+	if j >= len(f.cols) {
+		return 0
+	}
+	return f.sign * p.vars[f.cols[j].orig].obj * f.cols[j].sign
+}
+
+// standardForm fills t with p in standard form: its initial rows as
+// sparse rows, its rhs and its starting basis of identity columns.
+//
+// Finite lower bounds are eliminated by shifting (x = lo + x'), free
+// variables split into two columns, finite upper bounds become internal
+// LE rows after the constraints, and each row is negated where needed so
+// that its rhs is ≥ 0. An LE row gets a slack, a GE row a surplus and an
+// artificial, an EQ row an artificial; slacks and surpluses follow the
+// structural columns and artificials come last.
+func (p *Problem) standardForm(t *tableau) *form {
+	nCols, nRows := len(p.vars), len(p.cons)
+	for _, v := range p.vars {
+		if math.IsInf(v.lo, -1) {
+			nCols++
+		}
+		if !math.IsInf(v.hi, 1) {
+			nRows++
+		}
+	}
+	f := &form{
+		cols:  make([]column, 0, nCols),
+		colOf: make([]int, len(p.vars)),
+		shift: make([]float64, len(p.vars)),
+		flip:  make([]bool, 0, nRows),
+		sign:  1,
+	}
+	if p.dir == Maximize {
+		f.sign = -1
+	}
+	for j, v := range p.vars {
+		f.colOf[j] = len(f.cols)
+		if math.IsInf(v.lo, -1) {
+			f.cols = append(f.cols, column{VarID(j), 1}, column{VarID(j), -1})
+		} else {
+			f.shift[j] = v.lo
+			f.cols = append(f.cols, column{VarID(j), 1})
+		}
+	}
+	nStruct := len(f.cols)
+
+	// Rows: user constraints plus internal upper-bound rows, each
+	// normalized to b ≥ 0.
+	type row struct {
+		sense Sense
+		rhs   float64
+	}
+	rows := make([]row, 0, nRows)
+	nSlack := 0
+	addRow := func(sense Sense, rhs float64) {
+		r := row{sense: sense, rhs: rhs}
+		flip := rhs < 0
+		if flip {
+			r.rhs = -rhs
+			switch sense {
+			case LE:
+				r.sense = GE
+			case GE:
+				r.sense = LE
+			}
+		}
+		switch r.sense {
+		case LE:
+			nSlack++
+		case GE:
+			nSlack++ // surplus
+			f.nArt++
+		case EQ:
+			f.nArt++
+		}
+		rows = append(rows, r)
+		f.flip = append(f.flip, flip)
+	}
+	for _, c := range p.cons {
+		rhs := c.rhs
+		for _, tm := range c.terms {
+			if !math.IsInf(p.vars[tm.Var].lo, -1) {
+				rhs -= tm.Coef * f.shift[tm.Var]
+			}
+		}
+		addRow(c.sense, rhs)
+	}
+	for _, v := range p.vars {
+		switch {
+		case math.IsInf(v.hi, 1):
+		case math.IsInf(v.lo, -1):
+			addRow(LE, v.hi)
+		default:
+			addRow(LE, v.hi-v.lo)
+		}
+	}
+	m := len(rows)
+	n := nStruct + nSlack + f.nArt
+	t.reset(m, n, n-f.nArt)
+
+	// Each row's entries go in column order: the structural columns from
+	// the merged terms, which name each variable once (so each entry is
+	// written once, negated on a flipped row), then its identity columns.
+	f.idCol = make([]int, m)
+	slackAt, artAt := nStruct, nStruct+nSlack
+	i := 0
+	put := func(j int, coef float64) {
+		if f.flip[i] {
+			coef = -coef
+		}
+		t.add(j, coef)
+	}
+	endRow := func() {
+		switch rows[i].sense {
+		case LE:
+			t.add(slackAt, 1)
+			f.idCol[i] = slackAt
+			slackAt++
+		case GE:
+			t.add(slackAt, -1)
+			slackAt++
+			t.add(artAt, 1)
+			f.idCol[i] = artAt
+			artAt++
+		case EQ:
+			t.add(artAt, 1)
+			f.idCol[i] = artAt
+			artAt++
+		}
+		t.endRow(rows[i].rhs, f.idCol[i])
+		i++
+	}
+	for _, c := range p.cons {
+		for _, tm := range c.terms {
+			ci := f.colOf[tm.Var]
+			put(ci, tm.Coef)
+			if math.IsInf(p.vars[tm.Var].lo, -1) {
+				put(ci+1, -tm.Coef)
+			}
+		}
+		endRow()
+	}
+	for j, v := range p.vars {
+		if math.IsInf(v.hi, 1) {
+			continue
+		}
+		put(f.colOf[j], 1)
+		if math.IsInf(v.lo, -1) {
+			put(f.colOf[j]+1, -1)
+		}
+		endRow()
+	}
+	t.indexColumns()
+	return f
+}
+
+// optimum fills sol from an optimal basis: X and the objective from the
+// basic rows' rhs, Y and ReducedCost from the reduced-cost row.
+func (p *Problem) optimum(f *form, sol *Solution, basis []int, rhs, cost []float64) {
 	// Extract the solution, mapping columns back through shifts and splits.
-	colVal := make([]float64, n)
-	for i := 0; i < m; i++ {
-		v := t.a[i*t.stride+n]
+	colVal := make([]float64, len(cost)-1)
+	for i, v := range rhs {
 		if v < 0 && v > -FeasTol {
 			v = 0
 		}
-		colVal[t.basis[i]] = v
+		colVal[basis[i]] = v
 	}
 	for j := range p.vars {
-		x := shift[j]
-		ci := colOf[j]
+		x := f.shift[j]
+		ci := f.colOf[j]
 		x += colVal[ci]
 		if math.IsInf(p.vars[j].lo, -1) {
 			x -= colVal[ci+1]
-			x -= shift[j] // no shift applied for free vars
+			x -= f.shift[j] // no shift applied for free vars
 		}
 		sol.X[j] = x
 	}
@@ -374,11 +436,11 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 	// reduced-cost identity on instances with near-dependent rows.
 	sol.Y = make([]float64, len(p.cons))
 	for i := range p.cons {
-		yhat := -t.cost[idCol[i]]
-		if rows[i].flip {
+		yhat := -cost[f.idCol[i]]
+		if f.flip[i] {
 			yhat = -yhat
 		}
-		sol.Y[i] = sign * yhat
+		sol.Y[i] = f.sign * yhat
 	}
 	sol.ReducedCost = make([]float64, len(p.vars))
 	for j, v := range p.vars {
@@ -393,85 +455,6 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 			sol.ReducedCost[tm.Var] -= y * tm.Coef
 		}
 	}
-	return sol, nil
-}
-
-// tableau is a dense simplex tableau. Row i occupies
-// a[i*stride : i*stride+n+1] with the rhs in the final slot; cost is the
-// reduced-cost row with the negated objective value in cost[n].
-type tableau struct {
-	m, n   int
-	artLo  int // columns ≥ artLo are artificial
-	stride int
-	a      []float64
-	basis  []int
-	cost   []float64
-	nz     []int // scratch: the nonzero columns of the last pivot row
-}
-
-// spare holds tableau storage between solves: the hierarchy's LP
-// fallbacks on the Enzyme assays each need megabytes of tableau, and
-// reusing it keeps that allocation out of every solve. Unlike a
-// sync.Pool, which the garbage collector empties, the spare survives
-// collections, so sequential solves reuse storage every time. Storage is
-// cleared before each use, so no value survives from one solve into the
-// next. The process keeps the largest tableau it has released until it
-// exits: 19.4 MB after the Enzyme assay at n=5, 524 MB after
-// vol002_fanout's largest LP. Concurrent solves find the spare taken
-// and allocate their own.
-var spare struct {
-	mu sync.Mutex
-	t  *tableau
-}
-
-// newTableau returns an all-zero m×n tableau, reusing the spare's
-// storage when it is there. Hand it back with releaseTableau once the
-// solve is done with it.
-func newTableau(m, n, artLo int) *tableau {
-	spare.mu.Lock()
-	t := spare.t
-	spare.t = nil
-	spare.mu.Unlock()
-	if t == nil {
-		t = new(tableau)
-	}
-	*t = tableau{
-		m:      m,
-		n:      n,
-		artLo:  artLo,
-		stride: n + 1,
-		a:      zeroed(t.a, m*(n+1)),
-		basis:  zeroed(t.basis, m),
-		cost:   zeroed(t.cost, n+1),
-		nz:     t.nz[:0],
-	}
-	return t
-}
-
-// releaseTableau offers t's storage as the spare, keeping whichever of it
-// and the current spare is larger.
-func releaseTableau(t *tableau) {
-	spare.mu.Lock()
-	if spare.t == nil || cap(t.a) > cap(spare.t.a) {
-		spare.t = t
-	}
-	spare.mu.Unlock()
-}
-
-// zeroed returns s resized to k zero elements, reusing its storage when
-// it is large enough.
-func zeroed[E int | float64](s []E, k int) []E {
-	if cap(s) < k {
-		return make([]E, k)
-	}
-	s = s[:k]
-	clear(s)
-	return s
-}
-
-// row returns row i including its rhs slot.
-func (t *tableau) row(i int) []float64 {
-	return t.a[i*t.stride : (i+1)*t.stride]
 }
 
 // iterate pivots until optimality, unboundedness, the iteration budget is
@@ -521,12 +504,11 @@ func (t *tableau) iterate(iters *int, opt Options, phase1 bool) (Status, error) 
 		// anti-cycling helper).
 		leave := -1
 		var minRatio float64
-		for i := 0; i < t.m; i++ {
-			aij := t.a[i*t.stride+enter]
+		for i, aij := range t.column(enter) {
 			if aij <= PivotTol {
 				continue
 			}
-			r := t.a[i*t.stride+t.n] / aij
+			r := t.rhs[i] / aij
 			if leave < 0 || r < minRatio-PivotTol ||
 				(r < minRatio+PivotTol && t.basis[i] < t.basis[leave]) {
 				leave = i
@@ -552,51 +534,6 @@ func (t *tableau) iterate(iters *int, opt Options, phase1 bool) (Status, error) 
 	}
 }
 
-// pivot makes column enter basic in row leave by Gauss–Jordan
-// elimination. It scales the whole pivot row, records the row's nonzero
-// columns in t.nz, and updates the other rows and the cost row at those
-// columns only, so a pivot costs the pivot row's nonzeros times the
-// entering column's. Where the scaled pivot row is zero, a dense update
-// would subtract a zero: that keeps every nonzero entry's bits and can
-// only change the sign of a zero entry. No pivot decision reads that
-// sign, the duals never see it, and in X it can only reach a zero value
-// of a variable whose lower bound is −0.
-func (t *tableau) pivot(leave, enter int) {
-	prow := t.row(leave)
-	inv := 1 / prow[enter]
-	nz := t.nz[:0]
-	for j, v := range prow {
-		v *= inv
-		prow[j] = v
-		if v != 0 {
-			nz = append(nz, j)
-		}
-	}
-	t.nz = nz
-	prow[enter] = 1 // exact
-	for i := 0; i < t.m; i++ {
-		if i == leave {
-			continue
-		}
-		row := t.row(i)
-		f := row[enter]
-		if f == 0 {
-			continue
-		}
-		for _, j := range nz {
-			row[j] -= f * prow[j]
-		}
-		row[enter] = 0 // exact
-	}
-	if f := t.cost[enter]; f != 0 {
-		for _, j := range nz {
-			t.cost[j] -= f * prow[j]
-		}
-		t.cost[enter] = 0
-	}
-	t.basis[leave] = enter
-}
-
 // expelArtificials pivots basic artificial variables out of the basis after
 // phase 1. Rows where no non-artificial pivot exists are redundant and are
 // zeroed so they can never bind again.
@@ -605,21 +542,23 @@ func (t *tableau) expelArtificials() {
 		if t.basis[i] < t.artLo {
 			continue
 		}
-		base := i * t.stride
+		r := t.row(i)
 		pivotCol := -1
-		for j := 0; j < t.artLo; j++ {
-			if math.Abs(t.a[base+j]) > PivotTol {
+		for j, v := range r[:t.artLo] {
+			if math.Abs(v) > PivotTol {
 				pivotCol = j
 				break
 			}
 		}
 		if pivotCol >= 0 {
+			t.column(pivotCol)
 			t.pivot(i, pivotCol)
 			continue
 		}
 		// Redundant row (the artificial is basic at value ~0 and the row is
 		// numerically zero over real columns): clear it.
-		clear(t.row(i))
+		clear(r)
+		t.rhs[i] = 0
 		// Keep the artificial basic in the zero row; since artificial
 		// columns are barred from entering in phase 2 and the row is zero,
 		// it never affects ratio tests.
