@@ -38,6 +38,27 @@ echo "wrote fluidvet-findings.json ($(wc -c <fluidvet-findings.json) bytes)"
 echo "== go build =="
 go build ./...
 
+echo "== no fused multiply-add in replay-critical code =="
+# A resume must be bit-identical to an uninterrupted run, on every
+# architecture. Go may fuse x*y+z into one instruction that rounds once
+# on arm64, ppc64le, s390x and riscv64 (never on amd64), so each product
+# that feeds an add or a subtract is written float64(x*y), a conversion
+# the spec defines to round. This step compiles fluidvet's
+# replay-critical packages (internal/fluidvet/check.go) and internal/lp
+# for those architectures and fails on any fused instruction in the
+# listing. Cached builds replay the listing, so reruns are fast.
+fma_pkgs="aquacore journal recover faults codegen core certify dag ilp bench budget vfs pipeline lp"
+for arch in arm64 ppc64le s390x riscv64; do
+    set --
+    for p in $fma_pkgs; do set -- "$@" "-gcflags=aquavol/internal/$p=-S"; done
+    for p in $fma_pkgs; do set -- "$@" "./internal/$p"; done
+    GOARCH=$arch go build "$@" >"$vettmp/asm.txt" 2>&1
+    if grep -E '[[:space:]]F(N?M(ADD|SUB)D?)[[:space:]]' "$vettmp/asm.txt" >&2; then
+        echo "fused multiply-add on $arch (above): write the product as float64(x*y)" >&2
+        exit 1
+    fi
+done
+
 echo "== examples =="
 # Every example runs once, end to end: a walkthrough that stops
 # building, fails, or simulates with volume events fails the gate.
@@ -63,15 +84,15 @@ echo "== timing gates =="
 # gate time an uninstrumented build, so both skip under -race above.
 go test -count=1 -run 'TestScalingLinear|TestSolverThroughputNoRegressionVsRecorded' ./internal/bench
 
-echo "== journal bytes and encoder oracle =="
+echo "== journal bytes and codec oracle =="
 # The journal golden pins the bytes of 384 fluidvm -replan journals
 # (uninterrupted and killed-then-resumed) and skips under -race above;
-# the encoder oracle tests hold the hand-written journal encoder to
-# json.Marshal's bytes and errors, and its decoder to json.Unmarshal's
-# records; the golden walk, one seed per assay and preset under -race,
-# requires the decoder to take every record of all 384 journals.
+# the codec oracle fills every exported field of every record type and
+# requires decode(encode(r)) to equal r, and the golden walk, one seed
+# per assay and preset under -race, requires every record of all 384
+# journals and their salvaged prefixes to re-encode to its own bytes.
 go test -count=1 -run 'TestJournalGolden' ./internal/recover
-go test -count=1 -run 'TestEncoderMatchesMarshal|TestEncoderSnapshotSequence|TestDecoderTakesJournalGolden' ./internal/journal
+go test -count=1 -run 'TestCodecRoundTrip|TestEncoderSnapshotSequence|TestDecoderDeclines|TestDecoderTakesJournalGolden' ./internal/journal
 
 echo "== benchmark smoke =="
 # One iteration each, so the benchmarks keep compiling and running:

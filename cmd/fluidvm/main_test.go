@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -307,6 +309,31 @@ func TestResumeReportsTornTail(t *testing.T) {
 	}
 	if !strings.Contains(errw, "recovered journal tail") || !strings.Contains(errw, "good bytes") {
 		t.Errorf("torn-tail warning missing from stderr: %s", errw)
+	}
+}
+
+// A journal of the first format, whose payloads were JSON, is refused by
+// name with the resume-failure exit code, and left as it was.
+func TestResumeRefusesVersionOne(t *testing.T) {
+	payload := []byte(`{"kind":"begin","begin":{"program":"glucose","hash":1,"instrs":1,` +
+		`"profile":{"MeterJitter":0,"DeadVolume":0,"EvapRate":0,"SenseNoise":0,"FailRate":0},"seed":42}}`)
+	v1 := []byte("AQJRNL1\n")
+	v1 = binary.LittleEndian.AppendUint32(v1, uint32(len(payload)))
+	v1 = binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(payload))
+	v1 = append(v1, payload...)
+	path := filepath.Join(t.TempDir(), "old.aqj")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, _, errw := runCLI(t, "-resume", path, glucose)
+	if code != exitResumeFailed {
+		t.Fatalf("resume of a version 1 journal exit %d, want %d (stderr: %s)", code, exitResumeFailed, errw)
+	}
+	if !strings.Contains(errw, "version 1") || !strings.Contains(errw, "AQJRNL2") || strings.Contains(errw, "salvageable") {
+		t.Errorf("the refusal does not name both versions, or calls the journal damaged: %s", errw)
+	}
+	if b, err := os.ReadFile(path); err != nil || !bytes.Equal(b, v1) {
+		t.Errorf("the refused resume changed the journal (%v)", err)
 	}
 }
 

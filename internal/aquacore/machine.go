@@ -317,7 +317,7 @@ func (v *vessel) draw(amount float64, drawn []part) []part {
 		frac = 1
 	}
 	for i := range v.parts {
-		take := v.parts[i].nl * frac
+		take := float64(v.parts[i].nl * frac)
 		drawn = append(drawn, part{fluid: v.parts[i].fluid, nl: take})
 		v.parts[i].nl -= take
 	}
@@ -587,7 +587,7 @@ func (m *Machine) evaporate(dt float64) {
 		if v.vol <= 0 {
 			continue
 		}
-		loss := v.vol * frac
+		loss := float64(v.vol * frac)
 		m.drawn = v.draw(loss, m.drawn[:0])
 		m.drift[v.name] += loss
 	}
@@ -937,7 +937,7 @@ func (m *Machine) step(pc int, in ais.Instr, prog *ais.Program, pcOut *int) (jum
 		}
 		name, _ := operandVessel(in.Operands[0])
 		v := m.vessel(name)
-		kept := v.vol * ConcentrateYield
+		kept := float64(v.vol * ConcentrateYield)
 		m.drawn = v.draw(v.vol-kept, m.drawn[:0])
 		if in.Node >= 0 && m.src != nil {
 			m.measured(in.Node, dag.PortDefault, v.vol)
@@ -964,7 +964,7 @@ func (m *Machine) step(pc int, in ais.Instr, prog *ais.Program, pcOut *int) (jum
 		eff.clear()
 		waste.clear()
 		total := v.vol
-		effVol := total * cfg.SeparationYield
+		effVol := float64(total * cfg.SeparationYield)
 		m.drawn = v.draw(effVol, m.drawn[:0])
 		eff.add(effVol, m.drawn)
 		m.drawn = v.draw(v.vol, m.drawn[:0])

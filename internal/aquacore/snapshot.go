@@ -59,9 +59,10 @@ type FaultState struct {
 // instruction budget and step ordinal, the measurement log, and the fault
 // injector's PRNG position — so restoring it onto a freshly-constructed
 // machine and re-executing yields results bit-identical to a run that was
-// never interrupted. JSON encoding round-trips every float64 exactly
-// (shortest-representation encoding) and sorts map keys, so equal states
-// marshal to equal bytes.
+// never interrupted. The journal's codec stores every float64 as its
+// exact bits and writes map keys sorted, so equal states encode to equal
+// bytes; the JSON tags serve the state fingerprints that resume checks
+// compare, and json.Marshal's shortest float format is exact too.
 type Snapshot struct {
 	Vessels map[string]VesselState `json:"vessels"`
 	Regs    map[string]float64     `json:"regs,omitempty"`

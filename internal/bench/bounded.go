@@ -307,7 +307,7 @@ func cancelLatency(trials int) (p50, p99 float64, n int, err error) {
 	}
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	pct := func(q float64) float64 {
-		idx := int(q*float64(len(lats))+0.5) - 1
+		idx := int(float64(q*float64(len(lats)))+0.5) - 1
 		if idx < 0 {
 			idx = 0
 		}

@@ -33,7 +33,7 @@ func canaryKernel() error {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
-		acc += float64(x>>40) * 1e-12
+		acc += float64(float64(x>>40) * 1e-12)
 	}
 	canarySink = acc
 	return nil

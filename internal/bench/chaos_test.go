@@ -42,24 +42,27 @@ func TestStrikeVerdicts(t *testing.T) {
 			budget.ErrCancelled, verdict{identical: true}},
 		// Every write and sync of the begin record refuses the run before
 		// its first instruction (strike fails the test if anything past
-		// that record was journaled). Writes 1 and 2 are its frame and
-		// payload, sync 1 its fsync; write 0 and sync 0 are the header's.
+		// that record was journaled). Each record is one write and one
+		// sync: write 1 and sync 1 are the begin record's, write 0 and
+		// sync 0 the header's.
 		{"write@1", run, blow{io: &vfs.Strike{Op: vfs.OpWrite, N: 1}},
 			nil, verdict{refused: true}},
 		{"write@1:short", run, blow{io: &vfs.Strike{Op: vfs.OpWrite, N: 1, Short: true}},
-			nil, verdict{refused: true}},
-		{"write@2", run, blow{io: &vfs.Strike{Op: vfs.OpWrite, N: 2}},
-			nil, verdict{refused: true}},
-		{"write@2:short", run, blow{io: &vfs.Strike{Op: vfs.OpWrite, N: 2, Short: true}},
 			nil, verdict{refused: true}},
 		{"sync@1", run, blow{io: &vfs.Strike{Op: vfs.OpSync, N: 1}},
 			nil, verdict{refused: true}},
 		{"sync@1:lying", run, blow{io: &vfs.Strike{Op: vfs.OpSync, N: 1, Lying: true}},
 			nil, verdict{refused: true}},
-		// The first snapshot's frame never lands: the salvage finds only
-		// the begin record, and the resume restarts.
-		{"write@3", run, blow{io: &vfs.Strike{Op: vfs.OpWrite, N: 3}},
+		// The first snapshot's frame never lands, whole: the salvage
+		// finds only the begin record, and the resume restarts.
+		{"write@2", run, blow{io: &vfs.Strike{Op: vfs.OpWrite, N: 2}},
 			vfs.ErrIO, verdict{restarted: true, identical: true}},
+		{"write@2:short", run, blow{io: &vfs.Strike{Op: vfs.OpWrite, N: 2, Short: true}},
+			vfs.ErrNoSpace, verdict{restarted: true, identical: true}},
+		// The record after it fails: the resume continues from the first
+		// snapshot.
+		{"write@3", run, blow{io: &vfs.Strike{Op: vfs.OpWrite, N: 3}},
+			vfs.ErrIO, verdict{identical: true}},
 		// Creation is atomic: a torn or dropped header never reaches the
 		// journal's path (strike fails the test if one does).
 		{"write@0:short", run, blow{io: &vfs.Strike{Op: vfs.OpWrite, N: 0, Short: true}},

@@ -79,10 +79,10 @@ func logLogSlope(size []int, t []time.Duration) float64 {
 	var sx, sy, sxx, sxy float64
 	for i := range size {
 		x, y := math.Log(float64(size[i])), math.Log(float64(t[i]))
-		sx, sy, sxx, sxy = sx+x, sy+y, sxx+x*x, sxy+x*y
+		sx, sy, sxx, sxy = sx+x, sy+y, sxx+float64(x*x), sxy+float64(x*y)
 	}
 	n := float64(len(size))
-	return (n*sxy - sx*sy) / (n*sxx - sx*sx)
+	return (float64(n*sxy) - float64(sx*sy)) / (float64(n*sxx) - float64(sx*sx))
 }
 
 // ScalingTable renders Scaling.

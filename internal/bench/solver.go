@@ -85,7 +85,7 @@ func sample(run func() error, minN, maxN int, budget time.Duration) ([]time.Dura
 
 // percentile returns the nearest-rank q-quantile of ascending samples.
 func percentile(sorted []time.Duration, q float64) time.Duration {
-	idx := int(q*float64(len(sorted))+0.5) - 1
+	idx := int(float64(q*float64(len(sorted)))+0.5) - 1
 	return sorted[min(max(idx, 0), len(sorted)-1)]
 }
 

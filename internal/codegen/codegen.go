@@ -460,7 +460,7 @@ func (gen *generator) moveIn(e *dag.Edge, dst ais.Operand) error {
 }
 
 func round4(v float64) float64 {
-	return float64(int64(v*10000+0.5)) / 10000
+	return float64(int64(float64(v*10000)+0.5)) / 10000
 }
 
 // place decides where a node's produced fluid lives after its operation:

@@ -241,7 +241,7 @@ func (in *Injector) Meter(vol float64) float64 {
 		return vol
 	}
 	u := 2*in.draw() - 1
-	v := vol * (1 + u*in.p.MeterJitter)
+	v := vol * (1 + float64(u*in.p.MeterJitter))
 	if v < 0 {
 		v = 0
 	}
@@ -268,5 +268,5 @@ func (in *Injector) Sense(reading float64) float64 {
 		return reading
 	}
 	u := 2*in.draw() - 1
-	return reading * (1 + u*in.p.SenseNoise)
+	return reading * (1 + float64(u*in.p.SenseNoise))
 }

@@ -3,12 +3,12 @@ package journal
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
+	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"aquavol/internal/aquacore"
@@ -16,7 +16,7 @@ import (
 )
 
 // decodeSamples are records of every kind, filled the way runs fill
-// them: the decoder's canonical inputs.
+// them.
 func decodeSamples(events int) []*Record {
 	var evs []aquacore.Event
 	for k := 0; k < events; k++ {
@@ -53,136 +53,99 @@ func decodeSamples(events int) []*Record {
 	}
 }
 
-// primedSnapshot is the payload of a snapshot with a three-event log:
-// read first, it makes a later snapshot extending that log take the
-// reuse path.
-func primedSnapshot() []byte {
-	b, _ := json.Marshal(decodeSamples(3)[5])
-	return b
+// raw builds payloads by hand, in the codec's layout.
+type raw []byte
+
+func (r raw) u(v uint64) raw   { return binary.AppendUvarint(r, v) }
+func (r raw) i(v int64) raw    { return binary.AppendVarint(r, v) }
+func (r raw) f(v float64) raw  { return binary.LittleEndian.AppendUint64(r, math.Float64bits(v)) }
+func (r raw) s(v string) raw   { return append(r.u(uint64(len(v))), v...) }
+func (r raw) b(v ...byte) raw  { return append(r, v...) }
+func (r raw) cat(v []byte) raw { return append(r, v...) }
+
+// Hand-built payloads of three kinds, each taking the part under test
+// as its argument: step's halted byte, transfer's volume, and replan's
+// patch map (count and entries).
+func stepPayload(boundary []byte, halted byte) raw {
+	return raw{1}.cat(boundary).i(2).i(3).b(halted).i(0).u(0)
 }
 
-// declinedPayloads are valid-looking payloads the encoder never writes,
-// each named for what is off: a decoder that has read primedSnapshot
-// must hand every one to json.Unmarshal. Some of them json.Unmarshal
-// takes, some it rejects.
-func declinedPayloads() map[string]string {
-	// A six-event log opens with primedSnapshot's three events; at is
-	// the ',' after them, where the reuse path resumes parsing.
-	long, _ := json.Marshal(decodeSamples(6)[5])
-	primed, _ := json.Marshal(decodeSamples(3)[5].Snapshot.Machine.Events)
-	at := bytes.Index(long, primed[:len(primed)-1]) + len(primed) - 1
-	separator := func(c byte) string {
-		b := bytes.Clone(long)
-		b[at] = c
-		return string(b)
-	}
-	transfer := func(volume string) string {
-		return `{"kind":"transfer","transfer":{"boundary":1,"pc":2,"source":"s1","volume":` + volume + `}}`
-	}
-	source := func(s string) string {
-		return `{"kind":"transfer","transfer":{"boundary":1,"pc":2,"source":"` + s + `","volume":1}}`
-	}
-	boundary := func(n string) string {
-		return `{"kind":"step","step":{"boundary":` + n + `,"pc":2,"next":3,"events":0}}`
-	}
-	patches := func(m string) string {
-		return `{"kind":"replan","replan":{"boundary":1,"pc":2,"source":"s1","need":1,"have":1,"method":"lp","patches":` + m + `}}`
-	}
-	machine := func(fields string) string {
-		return `{"kind":"snapshot","snapshot":{"boundary":1,"pc":2,"machine":{"vessels":{}` + fields +
-			`,"wetSeconds":0,"drySeconds":0,"wetInstrs":0,"dryInstrs":0,"steps":0,"budget":0,"solveErrsSeen":0}}}`
-	}
-	return map[string]string{
-		"plus sign":            transfer("+1"),
-		"no integer part":      transfer(".5"),
-		"no fraction digits":   transfer("1."),
-		"leading zero":         transfer("01"),
-		"bare minus":           transfer("-"),
-		"out of range":         transfer("1e400"),
-		"hex float":            transfer("0x1p-2"),
-		"infinity":             transfer("inf"),
-		"NaN":                  transfer("NaN"),
-		"no exponent digits":   transfer("1e"),
-		"int leading zero":     boundary("01"),
-		"int minus zero":       boundary("-0"),
-		"int plus sign":        boundary("+1"),
-		"int fraction":         boundary("1.0"),
-		"int exponent":         boundary("1e2"),
-		"int overflow":         boundary("9223372036854775808"),
-		"uint32 overflow":      `{"kind":"begin","begin":{"program":"p","hash":4294967296,"instrs":1,"profile":{"MeterJitter":0,"DeadVolume":0,"EvapRate":0,"SenseNoise":0,"FailRate":0},"seed":0}}`,
-		"uint32 negative":      `{"kind":"begin","begin":{"program":"p","hash":-1,"instrs":1,"profile":{"MeterJitter":0,"DeadVolume":0,"EvapRate":0,"SenseNoise":0,"FailRate":0},"seed":0}}`,
-		"duplicate patch key":  patches(`{"1":1,"1":2}`),
-		"patch keys numeric":   patches(`{"9":1,"10":2}`),
-		"patch key plus":       patches(`{"+1":1}`),
-		"duplicate vessel":     `{"kind":"snapshot","snapshot":{"boundary":1,"pc":2,"machine":{"vessels":{"a":{"vol":1},"a":{"vol":2}},"wetSeconds":0,"drySeconds":0,"wetInstrs":0,"dryInstrs":0,"steps":0,"budget":0,"solveErrsSeen":0}}}`,
-		"map keys unsorted":    machine(`,"regs":{"b":1,"a":2}`),
-		"map key repeated":     machine(`,"regs":{"a":1,"a":2}`),
-		"empty omitempty map":  machine(`,"regs":{}`),
-		"null omitempty map":   machine(`,"regs":null`),
-		"empty event log":      machine(`,"events":[]`),
-		"empty composition":    `{"kind":"snapshot","snapshot":{"boundary":1,"pc":2,"machine":{"vessels":{"a":{"vol":1,"comp":{}}},"wetSeconds":0,"drySeconds":0,"wetInstrs":0,"dryInstrs":0,"steps":0,"budget":0,"solveErrsSeen":0}}}`,
-		"zero omitempty int":   `{"kind":"recovery","recovery":{"action":"retry","boundary":1,"pc":2,"attempt":0}}`,
-		"zero omitempty float": `{"kind":"begin","begin":{"program":"p","hash":1,"instrs":1,"profile":{"MeterJitter":0,"DeadVolume":0,"EvapRate":0,"SenseNoise":0,"FailRate":0},"seed":0,"margin":0}}`,
-		"event separator":      separator('x'),
-		"event whitespace":     separator(' '),
-		"empty omitempty str":  `{"kind":"recovery","recovery":{"action":"retry","boundary":1,"pc":2,"detail":""}}`,
-		"false omitempty":      `{"kind":"step","step":{"boundary":1,"pc":2,"next":3,"halted":false,"events":0}}`,
-		"null body":            `{"kind":"step","step":null}`,
-		"null omitempty ptr":   `{"kind":"snapshot","snapshot":{"boundary":1,"pc":2,"machine":null,"recovery":null}}`,
-		"fields reordered":     `{"kind":"step","step":{"pc":2,"boundary":1,"next":3,"events":0}}`,
-		"duplicate field":      `{"kind":"step","kind":"step","step":{"boundary":1,"pc":2,"next":3,"events":0}}`,
-		"unknown field":        `{"kind":"step","step":{"boundary":1,"pc":2,"next":3,"events":0,"extra":1}}`,
-		"field case folded":    `{"Kind":"step","step":{"boundary":1,"pc":2,"next":3,"events":0}}`,
-		"lone surrogate":       source(`\ud800`),
-		"needless escape":      source(`\u0041`),
-		"upper-case hex":       source(`\u003C`),
-		"escaped solidus":      source(`\/`),
-		"long form of \\n":     source(`\u000a`),
-		"raw control byte":     source("a\x01b"),
-		"raw <":                source("a<b"),
-		"raw U+2028":           source("a\u2028b"),
-		"invalid UTF-8":        source("a\xffb"),
-		"trailing whitespace":  boundary("1") + " ",
-		"trailing newline":     boundary("1") + "\n",
-		"inner whitespace":     `{"kind": "step","step":{"boundary":1,"pc":2,"next":3,"events":0}}`,
-		"trailing garbage":     boundary("1") + "}",
-		"truncated":            boundary("1")[:20],
+func transferPayload(volume []byte) raw { return raw{3}.i(1).i(2).s("s1").cat(volume) }
+
+func replanPayload(patches []byte) raw {
+	return raw{5}.i(1).i(2).s("s1").f(1).f(1).s("lp").f(0).cat(patches).u(0)
+}
+
+// corruptPayloads are payloads the encoder never writes, each named for
+// what is off; every one must fail to decode as ErrCorrupt.
+func corruptPayloads() map[string][]byte {
+	nan := raw{}.f(math.NaN())
+	return map[string][]byte{
+		"empty":                   nil,
+		"unknown kind":            raw{7}.i(1).i(2).i(3).b(0).i(0).u(0),
+		"kind 255":                raw{255},
+		"bool byte 2":             stepPayload(raw{}.i(1), 2),
+		"bool byte 255":           stepPayload(raw{}.i(1), 255),
+		"non-minimal varint":      stepPayload(raw{0x82, 0x00}, 0),
+		"varint past 64 bits":     stepPayload(raw{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, 0),
+		"payload ends in varint":  raw{1, 0x80},
+		"trailing byte":           stepPayload(raw{}.i(1), 0).b(0),
+		"NaN":                     transferPayload(nan),
+		"quiet NaN, sign set":     transferPayload(raw{}.b(1, 0, 0, 0, 0, 0, 0xf8, 0xff)),
+		"+Inf":                    transferPayload(raw{}.f(math.Inf(1))),
+		"-Inf":                    transferPayload(raw{}.f(math.Inf(-1))),
+		"float cut short":         transferPayload(raw{}.f(1)[:7]),
+		"string past the payload": raw{3}.i(1).i(2).u(40).b('s', '1'),
+		"count past the payload":  replanPayload(raw{}.u(1001)),
+		"count of 2^64-1":         replanPayload(raw{}.u(math.MaxUint64)),
+		"patch keys unsorted":     replanPayload(raw{}.u(3).i(2).f(1).i(1).f(1)),
+		"patch key repeated":      replanPayload(raw{}.u(3).i(1).f(1).i(1).f(2)),
+		"patch value NaN":         replanPayload(raw{}.u(2).i(1).cat(nan)),
+		"uint32 past its range":   raw{0}.s("p").u(math.MaxUint32 + 1),
+		"presence byte 2":         raw{2}.i(1).i(2).b(2),
 	}
 }
 
-// TestDecoderDeclines holds the decoder to the encoder's bytes: every
-// payload the encoder would not write is declined, and the Reader then
-// returns exactly json.Unmarshal's record or its error.
+// TestDecoderDeclines holds the decoder to the encoder's bytes. The
+// hand-built payloads' valid forms decode and re-encode to themselves;
+// every corrupt payload, and every proper prefix of each sample
+// record's payload, fails as ErrCorrupt through the Reader, with the
+// record before it intact.
 func TestDecoderDeclines(t *testing.T) {
-	primed := primedSnapshot()
-	for name, p := range declinedPayloads() {
-		var d decoder
-		if _, ok := d.record(primed); !ok {
-			t.Fatal("the decoder declines the canonical snapshot")
+	for name, p := range map[string]raw{
+		"step":     stepPayload(raw{}.i(1), 1),
+		"transfer": transferPayload(raw{}.f(math.Copysign(0, -1))),
+		"replan":   replanPayload(raw{}.u(3).i(-1).f(5e-324).i(1).f(2)),
+	} {
+		rec, err := decode(p)
+		if err != nil {
+			t.Fatalf("valid %s payload: %v", name, err)
 		}
-		if _, ok := d.record([]byte(p)); ok {
-			t.Errorf("%s: the decoder takes %q", name, p)
-			continue
+		if b, err := encode(nil, rec); err != nil || !bytes.Equal(b, p) {
+			t.Fatalf("valid %s payload re-encodes as %x (%v), want %x", name, b, err, []byte(p))
 		}
-		journal := append(append([]byte(magic), frame(primed)...), frame([]byte(p))...)
-		jr := NewReader(bytes.NewReader(journal))
-		if _, err := jr.Next(); err != nil {
+	}
+	cases := corruptPayloads()
+	for _, rec := range decodeSamples(3) {
+		p, err := encode(nil, rec)
+		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := jr.Next()
-		if jr.declined != 1 {
-			t.Errorf("%s: the Reader declined %d payloads, want 1", name, jr.declined)
+		for n := range p {
+			cases[fmt.Sprintf("%s cut at %d", rec.Kind, n)] = p[:n]
 		}
-		want := &Record{}
-		werr := json.Unmarshal([]byte(p), want)
-		if werr == nil {
-			werr = want.validate()
+	}
+	first := decodeSamples(0)[1]
+	firstPayload, _ := encode(nil, first)
+	for name, p := range cases {
+		if rec, err := decode(p); err == nil {
+			t.Errorf("%s: the decoder takes %x as %+v", name, p, rec)
+			continue
 		}
-		switch {
-		case werr != nil && (!errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), werr.Error())):
-			t.Errorf("%s: Reader error %v, want ErrCorrupt with %q", name, err, werr)
-		case werr == nil && (err != nil || !reflect.DeepEqual(got, want)):
-			t.Errorf("%s: Reader returned %#v (%v), json.Unmarshal %#v", name, got, err, want)
+		journal := append(append([]byte(magic), frame(firstPayload)...), frame(p)...)
+		recs, err := ReadAll(bytes.NewReader(journal))
+		if !errors.Is(err, ErrCorrupt) || len(recs) != 1 || !reflect.DeepEqual(recs[0], first) {
+			t.Errorf("%s: the Reader returns %d records and %v, want the first and ErrCorrupt", name, len(recs), err)
 		}
 	}
 }
@@ -195,93 +158,110 @@ func frame(payload []byte) []byte {
 	return append(hdr[:], payload...)
 }
 
-// TestDecodedEventsAreOwned reads snapshots whose event logs extend one
-// another, so each decode reuses the previous one's events, and changes
-// each record's events before reading the next: no change may reach
-// another record.
+// TestDecodedEventsAreOwned: decoded records share no mutable memory,
+// with the payload buffer the Reader reuses or with each other.
+// Snapshots with growing event logs are read back, then every slice,
+// map and pointer of one record is scribbled over; every other record
+// must still equal what was appended.
 func TestDecodedEventsAreOwned(t *testing.T) {
 	var buf bytes.Buffer
 	jw, err := NewWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var payloads [][]byte
+	var want []*Record
 	for _, n := range []int{2, 5, 5, 9} {
-		rec := decodeSamples(n)[5]
-		if err := jw.Append(rec); err != nil {
-			t.Fatal(err)
+		for _, rec := range decodeSamples(n)[4:6] {
+			if err := jw.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, rec)
 		}
-		b, _ := json.Marshal(rec)
-		payloads = append(payloads, b)
 	}
-	jr := NewReader(&buf)
-	for i, p := range payloads {
-		got, err := jr.Next()
+	for victim := range want {
+		got, err := ReadAll(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := &Record{}
-		if err := json.Unmarshal(p, want); err != nil {
-			t.Fatal(err)
+		scribble(reflect.ValueOf(got[victim]).Elem())
+		for i := range got {
+			if i != victim && !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("scribbling over record %d changed record %d", victim, i)
+			}
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("snapshot %d differs from json.Unmarshal's after the previous one's events changed", i)
+		if reflect.DeepEqual(got[victim], want[victim]) {
+			t.Fatalf("scribble left record %d as it was", victim)
 		}
-		// The reuse cache holds this log: its array up to the closing
-		// bracket, and its events.
-		evs := got.Snapshot.Machine.Events
-		raw, _ := json.Marshal(evs)
-		if !bytes.Equal(jr.dec.evRaw, raw[:len(raw)-1]) || !reflect.DeepEqual(jr.dec.evs, evs) {
-			t.Fatalf("after snapshot %d the decoder keeps %d events and %q", i, len(jr.dec.evs), jr.dec.evRaw)
-		}
-		for k := range evs {
-			evs[k] = aquacore.Event{Kind: 99, Detail: "changed"}
-		}
-	}
-	if jr.declined != 0 {
-		t.Errorf("%d snapshots took json.Unmarshal", jr.declined)
 	}
 }
 
-// FuzzDecodePayload holds the decoder to json.Unmarshal on arbitrary
-// bytes: a payload the decoder takes must be one json.Unmarshal takes
-// too, decoding to an equal record that re-encodes to the same bytes.
-// The decoder first reads a snapshot, so inputs that share its event
-// log take the reuse path.
+// scribble overwrites every slice element, map entry and pointed-to
+// field reachable from v.
+func scribble(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			scribble(v.Elem())
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			scribble(v.Field(i))
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			scribble(v.Index(i))
+		}
+	case reflect.Map:
+		for _, k := range v.MapKeys() {
+			e := reflect.New(v.Type().Elem()).Elem()
+			e.Set(v.MapIndex(k))
+			scribble(e)
+			v.SetMapIndex(k, e)
+		}
+	case reflect.String:
+		v.SetString("scribbled")
+	case reflect.Float64:
+		v.SetFloat(-7)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(-7)
+	}
+}
+
+// FuzzDecodePayload holds the decoder to the encoder on arbitrary
+// bytes: a payload the decoder takes must re-encode to exactly those
+// bytes, so no two payloads decode to the same record.
 func FuzzDecodePayload(f *testing.F) {
 	for _, n := range []int{3, 6} {
 		for _, r := range decodeSamples(n) {
-			b, err := json.Marshal(r)
+			b, err := encode(nil, r)
 			if err != nil {
 				f.Fatal(err)
 			}
 			f.Add(b)
 		}
 	}
-	for _, p := range declinedPayloads() {
+	for _, p := range corruptPayloads() {
 		f.Add([]byte(p))
 	}
-	primed := primedSnapshot()
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var d decoder
-		if _, ok := d.record(primed); !ok {
-			t.Fatal("the decoder declines the canonical snapshot")
+	fill := &filler{t: f, rng: rand.New(rand.NewSource(2)), seen: map[reflect.Type]bool{}}
+	for k := 0; k < 35; k++ {
+		b, err := encode(nil, fill.record(k%len(kinds)))
+		if err != nil {
+			f.Fatal(err)
 		}
-		got, ok := d.record(data)
-		if !ok {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, err := decode(data)
+		if err != nil {
 			return
 		}
-		want := &Record{}
-		if err := json.Unmarshal(data, want); err != nil {
-			t.Fatalf("the decoder takes a payload json.Unmarshal rejects (%v): %q", err, data)
+		if err := rec.validate(); err != nil {
+			t.Fatalf("the decoder returns an invalid record for %x: %v", data, err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("decoded record differs from json.Unmarshal's for %q\n got: %#v\nwant: %#v", data, got, want)
-		}
-		gotBytes, gotErr := json.Marshal(got)
-		wantBytes, wantErr := json.Marshal(want)
-		if gotErr != nil || wantErr != nil || !bytes.Equal(gotBytes, wantBytes) {
-			t.Fatalf("decoded record re-encodes differently from json.Unmarshal's for %q (%v, %v)\n got: %s\nwant: %s", data, gotErr, wantErr, gotBytes, wantBytes)
+		b, err := encode(nil, rec)
+		if err != nil || !bytes.Equal(b, data) {
+			t.Fatalf("decoded record re-encodes differently (%v)\n got: %x\nwant: %x", err, b, data)
 		}
 	})
 }

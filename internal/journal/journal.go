@@ -7,34 +7,31 @@
 //
 // # File format
 //
-// A journal file is an 8-byte magic header ("AQJRNL1\n") followed by
+// A journal file is an 8-byte magic header ("AQJRNL2\n") followed by
 // records. Each record is framed as
 //
 //	uint32 LE payload length | uint32 LE IEEE-CRC32(payload) | payload
 //
-// and the payload is a Record envelope in exactly the bytes
-// encoding/json's json.Marshal produces for it. A hand encoder
-// (encode.go) writes those bytes without reflection, into a buffer the
-// Writer reuses, re-encoding only the events a snapshot adds to the
-// previous one's event log; json.Marshal is its test oracle. A hand
-// decoder (decode.go) reads them back the same way, parsing only the
-// events a snapshot adds to the previous one's log. It takes only the
-// bytes the encoder writes and declines anything else to
-// json.Unmarshal, which is also its test oracle, so a record, or the
-// error it fails with, is the same whichever path read it. A field
-// added to any record type, aquacore.Snapshot and the types it nests
-// included, must be added to the encoder and the decoder in the same
-// change: the reflection-driven property test fills every exported
-// field and fails until the bytes match json.Marshal's and the decoder
-// takes them again.
+// and the payload is a Record in the journal's binary codec (codec.go):
+// a kind byte, then that kind's body, every field in declaration order
+// (varints for ints, the 8 bytes of each float64, length-prefixed
+// strings, maps and slices, nil kept apart from empty, map keys
+// sorted). One codec writes and reads every record, and the decoder
+// takes exactly the bytes the encoder writes: any other payload is
+// ErrCorrupt. A field added to any record type, aquacore.Snapshot and
+// the types it nests included, is added to the codec in the same
+// change: the round-trip test fills every exported field by reflection
+// and fails until decoding gives back what was encoded. A journal of
+// the first format, whose header is "AQJRNL1\n" and whose payloads
+// were JSON, is refused with ErrVersion.
 //
 // The frame makes the two crash failure modes distinguishable on
 // read-back:
 //
 //   - a torn write — the process died mid-append, the file ends inside a
 //     frame — surfaces as ErrTornWrite;
-//   - corruption — the frame is complete but the CRC or JSON does not
-//     check out — surfaces as ErrCorrupt.
+//   - corruption — the frame is complete but the CRC or the payload does
+//     not check out — surfaces as ErrCorrupt.
 //
 // Both are recoverable: the reader returns every record up to the last
 // good one and reports where and why it stopped, and OpenAppend truncates
@@ -66,12 +63,25 @@ import (
 // site so errors.Is works while the offset/context stays attached.
 var (
 	// ErrCorrupt is a structurally-complete record that fails validation:
-	// CRC mismatch, bad JSON, unknown kind, or a bad file header.
+	// CRC mismatch, a payload the codec does not take, or a bad file
+	// header.
 	ErrCorrupt = errors.New("journal: corrupt record")
 	// ErrTornWrite is a file ending mid-frame: the writing process died
 	// between starting and finishing an append.
 	ErrTornWrite = errors.New("journal: torn write at tail")
+	// ErrVersion is a journal of the first format (JSON payloads): it
+	// may be intact, but this build cannot read it. It matches
+	// ErrCorrupt too, since none of its records can be read.
+	ErrVersion error = versionError{}
 )
+
+type versionError struct{}
+
+func (versionError) Error() string {
+	return "journal: format version 1 (header AQJRNL1); this build reads only version 2 (AQJRNL2)"
+}
+
+func (versionError) Is(target error) bool { return target == ErrCorrupt }
 
 // Kind discriminates record payloads.
 type Kind string
@@ -97,14 +107,14 @@ const (
 // Record is the envelope every journal entry is encoded as: a kind tag
 // plus exactly one non-nil body matching it.
 type Record struct {
-	Kind     Kind            `json:"kind"`
-	Begin    *Begin          `json:"begin,omitempty"`
-	Step     *Step           `json:"step,omitempty"`
-	Snapshot *Snapshot       `json:"snapshot,omitempty"`
-	Transfer *Transfer       `json:"transfer,omitempty"`
-	Recovery *RecoveryAction `json:"recovery,omitempty"`
-	Replan   *Replan         `json:"replan,omitempty"`
-	Outcome  *Outcome        `json:"outcome,omitempty"`
+	Kind     Kind
+	Begin    *Begin
+	Step     *Step
+	Snapshot *Snapshot
+	Transfer *Transfer
+	Recovery *RecoveryAction
+	Replan   *Replan
+	Outcome  *Outcome
 }
 
 // validate checks the envelope is self-consistent: a known kind whose
@@ -153,49 +163,49 @@ func (r *Record) validate() error {
 // from here, not from command-line flags.
 type Begin struct {
 	// Program is the program name (the assay's, or the listing file's).
-	Program string `json:"program"`
+	Program string
 	// Hash is the IEEE CRC32 of the canonical AIS listing text; resume
 	// refuses a source whose compiled listing hashes differently.
-	Hash uint32 `json:"hash"`
+	Hash uint32
 	// Instrs is the listing's instruction count (a cheap second check).
-	Instrs int `json:"instrs"`
+	Instrs int
 	// Profile and Seed reconstruct the fault injector.
-	Profile faults.Profile `json:"profile"`
-	Seed    int64          `json:"seed"`
+	Profile faults.Profile
+	Seed    int64
 	// Margin and Yield reproduce the compile/machine configuration.
-	Margin float64 `json:"margin,omitempty"`
-	Yield  float64 `json:"yield,omitempty"`
+	Margin float64
+	Yield  float64
 	// Retries is the per-instruction retry budget of the recovery runtime.
-	Retries int `json:"retries,omitempty"`
+	Retries int
 	// SnapshotEvery is the snapshot cadence in instruction boundaries.
-	SnapshotEvery int `json:"snapshotEvery,omitempty"`
+	SnapshotEvery int
 	// Replan records whether adaptive replanning was enabled: a resume
 	// must re-derive the same repair decisions the original run made.
-	Replan bool `json:"replan,omitempty"`
+	Replan bool
 	// CertHash is the certificate hash (certify.PlanHash) of the
 	// statically-solved plan the run was certified against. Resume
 	// recomputes it from the re-derived plan and refuses to touch the
 	// machine on a mismatch: the journal's plan is not the plan that was
 	// certified. Zero when the assay has no static plan (staged assays
 	// certify part by part at solve time) or certification was disabled.
-	CertHash uint32 `json:"certHash,omitempty"`
+	CertHash uint32
 }
 
 // Step marks one completed instruction boundary of the recovery loop.
 type Step struct {
 	// Boundary is the 0-based boundary ordinal (main-loop instructions
 	// completed before this one are 0..Boundary-1).
-	Boundary int `json:"boundary"`
+	Boundary int
 	// PC is the executed instruction; Next is where control goes.
-	PC   int `json:"pc"`
-	Next int `json:"next"`
+	PC   int
+	Next int
 	// Halted marks program completion at this boundary.
-	Halted bool `json:"halted,omitempty"`
+	Halted bool
 	// Events is the cumulative machine event count after this boundary.
-	Events int `json:"events"`
+	Events int
 	// Draws is the fault-PRNG stream position after this boundary (0 when
 	// faults are off) — the journaled trace of fault draws.
-	Draws uint64 `json:"draws,omitempty"`
+	Draws uint64
 }
 
 // Snapshot is a full checkpoint: restoring Machine onto a fresh machine
@@ -203,58 +213,58 @@ type Step struct {
 // counters continues the run exactly.
 type Snapshot struct {
 	// Boundary is the next boundary ordinal to execute.
-	Boundary int `json:"boundary"`
+	Boundary int
 	// PC is the next instruction to execute.
-	PC int `json:"pc"`
+	PC int
 	// Machine is the complete machine state at this boundary.
-	Machine *aquacore.Snapshot `json:"machine"`
+	Machine *aquacore.Snapshot
 	// Recovery carries the recovery runtime's accumulated counters.
-	Recovery *RecoveryState `json:"recovery,omitempty"`
+	Recovery *RecoveryState
 }
 
 // RecoveryState is the recovery runtime's journaled accounting (mirrors
 // recover.Outcome's counters; defined here because the recovery package
 // imports this one).
 type RecoveryState struct {
-	Retries        int     `json:"retries"`
-	Regens         int     `json:"regens"`
-	RegenInstrs    int     `json:"regenInstrs"`
-	Replans        int     `json:"replans,omitempty"`
-	ReplanInstrs   int     `json:"replanInstrs,omitempty"`
-	BackoffSeconds float64 `json:"backoffSeconds"`
+	Retries        int
+	Regens         int
+	RegenInstrs    int
+	Replans        int
+	ReplanInstrs   int
+	BackoffSeconds float64
 	// ReplanBoundaries lists the boundaries replans were applied at.
-	ReplanBoundaries []int      `json:"replanBoundaries,omitempty"`
-	Incidents        []Incident `json:"incidents,omitempty"`
+	ReplanBoundaries []int
+	Incidents        []Incident
 }
 
 // Incident is one unrepaired fault (recover.Incident flattened for
 // serialization).
 type Incident struct {
-	Kind    int    `json:"kind"` // aquacore.EventKind
-	PC      int    `json:"pc"`
-	Instr   string `json:"instr"`
-	Detail  string `json:"detail"`
-	Retries int    `json:"retries,omitempty"`
+	Kind    int // aquacore.EventKind
+	PC      int
+	Instr   string
+	Detail  string
+	Retries int
 }
 
 // Transfer records a planned (pre-fault) transfer about to execute.
 type Transfer struct {
-	Boundary int     `json:"boundary"`
-	PC       int     `json:"pc"`
-	Source   string  `json:"source"`
-	Volume   float64 `json:"volume"`
+	Boundary int
+	PC       int
+	Source   string
+	Volume   float64
 }
 
 // RecoveryAction records one repair the recovery runtime performed.
 type RecoveryAction struct {
 	// Action is "retry" or "regen".
-	Action   string `json:"action"`
-	Boundary int    `json:"boundary"`
-	PC       int    `json:"pc"`
+	Action   string
+	Boundary int
+	PC       int
 	// Attempt is the retry ordinal (retries only).
-	Attempt int `json:"attempt,omitempty"`
+	Attempt int
 	// Detail carries the human-readable event detail.
-	Detail string `json:"detail,omitempty"`
+	Detail string
 }
 
 // Replan records one adaptive replanning action: the residual DAG
@@ -265,24 +275,24 @@ type RecoveryAction struct {
 // deterministically — but the record makes the repair auditable and
 // lets tools reconstruct the patched plan without re-execution.
 type Replan struct {
-	Boundary int `json:"boundary"`
-	PC       int `json:"pc"`
+	Boundary int
+	PC       int
 	// Source/Need/Have describe the stalled transfer that triggered the
 	// replan: the padded planned draw versus the source's live volume.
-	Source string  `json:"source"`
-	Need   float64 `json:"need"`
-	Have   float64 `json:"have"`
+	Source string
+	Need   float64
+	Have   float64
 	// Method is the residual solver that produced the patch set
 	// ("dagsolve" or "lp"); Scale is DAGSolve's dispensing scale.
-	Method string  `json:"method"`
-	Scale  float64 `json:"scale,omitempty"`
+	Method string
+	Scale  float64
 	// Patches maps instruction pcs to their rescaled absolute volumes.
-	Patches map[int]float64 `json:"patches"`
+	Patches map[int]float64
 	// CertHash is the certificate hash (certify.ReplanHash) of the
 	// residual plan plus its patch set, recorded after the repair passed
 	// certification — auditors recompute it to pin the journaled patches
 	// to the certified replan.
-	CertHash uint32 `json:"certHash,omitempty"`
+	CertHash uint32
 }
 
 // Outcome closes a journal: the run reached a terminal state in-process
@@ -290,9 +300,9 @@ type Replan struct {
 // nature writes nothing).
 type Outcome struct {
 	// Status is recover.Status's string form.
-	Status string `json:"status"`
+	Status string
 	// Err is the abort error text, if any.
-	Err string `json:"err,omitempty"`
+	Err string
 	// Boundaries is the total number of instruction boundaries executed.
-	Boundaries int `json:"boundaries"`
+	Boundaries int
 }

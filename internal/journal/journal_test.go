@@ -99,7 +99,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Errorf("replan round-trip: got %+v", rp)
 	}
 	// The patch map's int keys and exact float64 values must survive the
-	// JSON encoding: resume reconstructs the patched plan from them.
+	// codec: resume reconstructs the patched plan from them.
 	if len(rp.Patches) != 2 || rp.Patches[2] != 26.6875 || rp.Patches[5] != 13.34375 {
 		t.Errorf("replan patches round-trip: got %v", rp.Patches)
 	}
@@ -157,6 +157,15 @@ func TestBitFlipDetected(t *testing.T) {
 	mut[0] ^= 1
 	if _, err := journal.ReadAll(bytes.NewReader(mut)); !errors.Is(err, journal.ErrCorrupt) {
 		t.Fatalf("header flip: error %v, want ErrCorrupt", err)
+	}
+}
+
+// A journal of the first format is refused by name, and as corrupt.
+func TestVersionOneRefused(t *testing.T) {
+	v1 := append([]byte("AQJRNL1\n"), writeSample(t)[journal.HeaderSize:]...)
+	recs, err := journal.ReadAll(bytes.NewReader(v1))
+	if len(recs) != 0 || !errors.Is(err, journal.ErrVersion) || !errors.Is(err, journal.ErrCorrupt) {
+		t.Fatalf("version 1 journal: %d records and %v, want none and ErrVersion, which is ErrCorrupt", len(recs), err)
 	}
 }
 

@@ -2,7 +2,6 @@ package journal
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -27,11 +26,6 @@ type Reader struct {
 	err  error
 	// buf holds the payload being decoded, reused across records.
 	buf []byte
-	// dec decodes the payloads the encoder writes, keeping the last
-	// snapshot's event log; declined counts the payloads it handed to
-	// json.Unmarshal instead.
-	dec      decoder
-	declined int
 }
 
 // NewReader starts decoding from r.
@@ -70,6 +64,8 @@ func (jr *Reader) next() (*Record, error) {
 			return nil, fmt.Errorf("%w: short header (%d of %d bytes)", ErrTornWrite, n, len(magic))
 		case err != nil:
 			return nil, fmt.Errorf("journal: reading header: %w", err)
+		case string(hdr[:]) == magicV1:
+			return nil, ErrVersion
 		case string(hdr[:]) != magic:
 			return nil, fmt.Errorf("%w: bad header %q (not a journal, or unsupported version)", ErrCorrupt, hdr)
 		}
@@ -105,13 +101,9 @@ func (jr *Reader) next() (*Record, error) {
 	if got := crc32.ChecksumIEEE(payload); got != sum {
 		return nil, fmt.Errorf("%w: CRC mismatch at offset %d (stored %08x, computed %08x)", ErrCorrupt, jr.good, sum, got)
 	}
-	rec, ok := jr.dec.record(payload)
-	if !ok {
-		jr.declined++
-		rec = &Record{}
-		if err := json.Unmarshal(payload, rec); err != nil {
-			return nil, fmt.Errorf("%w: undecodable payload at offset %d: %w", ErrCorrupt, jr.good, err)
-		}
+	rec, err := decode(payload)
+	if err != nil {
+		return nil, fmt.Errorf("%w: undecodable payload at offset %d: %w", ErrCorrupt, jr.good, err)
 	}
 	if err := rec.validate(); err != nil {
 		return nil, fmt.Errorf("%w (at offset %d)", err, jr.good)
@@ -190,7 +182,10 @@ func OpenAppend(fsys vfs.FS, path string) ([]*Record, Tail, *Writer, vfs.File, e
 		f.Close() //fluidvet:allow syncerr error path; nothing was written, the salvage failure is the error
 
 		reason := tail.Reason
-		if reason == nil {
+		switch {
+		case errors.Is(reason, ErrVersion):
+			return nil, tail, nil, nil, fmt.Errorf("%s: %w", path, reason)
+		case reason == nil:
 			reason = fmt.Errorf("%w: no records", ErrTornWrite)
 		}
 		return nil, tail, nil, nil, fmt.Errorf("journal: nothing salvageable in %s: %w", path, reason)

@@ -13,8 +13,13 @@ import (
 
 // magic is the journal file header. The trailing newline makes a
 // truncated-at-byte-0..7 file distinguishable from a text file at a
-// glance; the version digit gates future format changes.
-const magic = "AQJRNL1\n"
+// glance; the version digit gates format changes. magicV1 is the
+// header of the first format, whose payloads were JSON: the reader
+// refuses it by name (ErrVersion).
+const (
+	magic   = "AQJRNL2\n"
+	magicV1 = "AQJRNL1\n"
+)
 
 // HeaderSize is the on-disk size of a complete empty journal (the header
 // alone): what an interrupted-but-atomic creation may leave behind.
@@ -51,10 +56,8 @@ type Writer struct {
 	// crashes it exists for.
 	sync func() error
 	err  error
-	// enc encodes every record this writer appends, into one reused
-	// buffer, with the last snapshot's event log and patch overlay
-	// cached.
-	enc encoder
+	// buf holds the frame being appended, reused across records.
+	buf []byte
 }
 
 // NewWriter starts a journal on w, writing the file header immediately.
@@ -126,25 +129,24 @@ func (jw *Writer) Append(rec *Record) error {
 	if err := rec.validate(); err != nil {
 		return err // caller bug, not a sink failure: not sticky
 	}
-	payload, err := jw.enc.record(rec)
+	// The frame header goes in front of the payload, so the whole
+	// record reaches the sink in one Write.
+	b, err := encode(append(jw.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0), rec)
+	jw.buf = b
 	if err != nil {
 		return fmt.Errorf("journal: encoding %s record: %w", rec.Kind, err)
 	}
+	payload := b[8:]
 	if len(payload) > maxRecord {
 		return fmt.Errorf("journal: %s record payload %d bytes exceeds limit %d", rec.Kind, len(payload), maxRecord)
 	}
-	var frame [8]byte
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := jw.w.Write(frame[:]); err == nil {
-		_, err = jw.w.Write(payload)
-		if err == nil && jw.sync != nil {
-			err = jw.sync()
-		}
-		if err != nil {
-			jw.err = fmt.Errorf("journal: append: %w", err)
-		}
-	} else {
+	binary.LittleEndian.PutUint32(b[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(payload))
+	_, err = jw.w.Write(b)
+	if err == nil && jw.sync != nil {
+		err = jw.sync()
+	}
+	if err != nil {
 		jw.err = fmt.Errorf("journal: append: %w", err)
 	}
 	return jw.err

@@ -77,7 +77,7 @@ func solveEager(p *Problem, opts Options) (*Solution, error) {
 	for i := 0; i < m; i++ {
 		if cb := f.cost(p, t.basis[i]); cb != 0 {
 			for j, v := range t.row(i) {
-				t.cost[j] -= cb * v
+				t.cost[j] -= float64(cb * v)
 			}
 		}
 	}
@@ -201,13 +201,13 @@ func (t *eagerTableau) pivot(leave, enter int) {
 			continue
 		}
 		for _, j := range nz {
-			row[j] -= f * prow[j]
+			row[j] -= float64(f * prow[j])
 		}
 		row[enter] = 0 // exact
 	}
 	if f := t.cost[enter]; f != 0 {
 		for _, j := range nz {
-			t.cost[j] -= f * prow[j]
+			t.cost[j] -= float64(f * prow[j])
 		}
 		t.cost[enter] = 0
 	}

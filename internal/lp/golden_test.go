@@ -224,15 +224,15 @@ func randomLP(r *rand.Rand) *lp.Problem {
 			}
 			c := float64(r.Intn(19) - 9)
 			if r.Intn(2) == 0 {
-				c = 20*r.Float64() - 10
+				c = float64(20*r.Float64()) - 10
 			}
 			terms = append(terms, lp.Term{Var: lp.VarID(j), Coef: c})
-			ax += c * x0[j]
+			ax += float64(c * x0[j])
 		}
 		sense := lp.Sense(r.Intn(3))
 		slack := 0.0
 		if r.Intn(3) != 0 {
-			slack = float64(r.Intn(5)) + r.Float64()
+			slack = float64(r.Intn(5)) + float64(r.Float64())
 		}
 		rhs := ax
 		switch {

@@ -139,10 +139,10 @@ func kernelLP(r *rand.Rand, dense bool) *Problem {
 			}
 			c := float64(r.Intn(19) - 9)
 			if c == 0 || r.Intn(2) == 0 {
-				c = 20*r.Float64() - 10
+				c = float64(20*r.Float64()) - 10
 			}
 			terms = append(terms, Term{VarID(j), c})
-			ax += c * x0[j]
+			ax += float64(c * x0[j])
 		}
 		sense := Sense(r.Intn(3))
 		rhs := ax

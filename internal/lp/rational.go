@@ -316,7 +316,7 @@ func (p *Problem) SolveExact() (*Solution, error) {
 	}
 	obj := 0.0
 	for j, v := range p.vars {
-		obj += v.obj * sol.X[j]
+		obj += float64(v.obj * sol.X[j])
 	}
 	sol.Objective = obj
 	sol.Status = Optimal

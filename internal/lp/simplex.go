@@ -175,9 +175,9 @@ func (p *Problem) solve(t *tableau, opts Options) (*Solution, error) {
 	for i := 0; i < t.m; i++ {
 		if cb := f.cost(p, t.basis[i]); cb != 0 {
 			for j, v := range t.row(i) {
-				t.cost[j] -= cb * v
+				t.cost[j] -= float64(cb * v)
 			}
-			t.cost[n] -= cb * t.rhs[i]
+			t.cost[n] -= float64(cb * t.rhs[i])
 		}
 	}
 
@@ -316,7 +316,7 @@ func (p *Problem) standardForm(t *tableau) *form {
 		rhs := c.rhs
 		for _, tm := range c.terms {
 			if !math.IsInf(p.vars[tm.Var].lo, -1) {
-				rhs -= tm.Coef * f.shift[tm.Var]
+				rhs -= float64(tm.Coef * f.shift[tm.Var])
 			}
 		}
 		addRow(c.sense, rhs)
@@ -413,7 +413,7 @@ func (p *Problem) optimum(f *form, sol *Solution, basis []int, rhs, cost []float
 	}
 	obj := 0.0
 	for j, v := range p.vars {
-		obj += v.obj * sol.X[j]
+		obj += float64(v.obj * sol.X[j])
 	}
 	sol.Objective = obj
 	sol.Status = Optimal
@@ -452,7 +452,7 @@ func (p *Problem) optimum(f *form, sol *Solution, basis []int, rhs, cost []float
 			continue
 		}
 		for _, tm := range c.terms {
-			sol.ReducedCost[tm.Var] -= y * tm.Coef
+			sol.ReducedCost[tm.Var] -= float64(y * tm.Coef)
 		}
 	}
 }

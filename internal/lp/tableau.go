@@ -250,7 +250,7 @@ func (t *tableau) row(i int) []float64 {
 			continue
 		}
 		for _, u := range t.prow[t.prowAt[k]:t.prowAt[k+1]] {
-			r[u.col] -= f * u.v
+			r[u.col] -= float64(f * u.v)
 		}
 		r[e] = 0 // exact
 	}
@@ -289,7 +289,7 @@ func (t *tableau) column(e int) []float64 {
 			case entered:
 				col[i] = 0 // exact
 			default:
-				col[i] -= u.v * p
+				col[i] -= float64(u.v * p)
 			}
 		}
 	}
@@ -325,15 +325,15 @@ func (t *tableau) pivot(leave, enter int) {
 		t.fcol = append(t.fcol, colEntry{v: f, row: int32(i)})
 		t.touched[i] = k
 		if pn != 0 {
-			t.rhs[i] -= f * pn
+			t.rhs[i] -= float64(f * pn)
 		}
 	}
 	if f := t.cost[enter]; f != 0 {
 		for _, u := range t.prow[t.prowAt[k]:] {
-			t.cost[u.col] -= f * u.v
+			t.cost[u.col] -= float64(f * u.v)
 		}
 		if pn != 0 {
-			t.cost[t.n] -= f * pn
+			t.cost[t.n] -= float64(f * pn)
 		}
 		t.cost[enter] = 0
 	}
